@@ -260,8 +260,8 @@ def _loss_and_grad(task_metric: str, output: Tensor, labels):
     raise ConfigError(f"unknown metric {task_metric!r}")
 
 
-def _eval_metric(net: Network, ds: Dataset, batch: int = 512) -> tuple[float, float]:
-    """Returns (eval metric, eval loss-like value) in eval mode."""
+def _eval_metric(net: Network, ds: Dataset, batch: int = 512) -> float:
+    """The dataset's evaluation metric on the eval split, in eval mode."""
     outs = []
     n = ds.eval_x.shape[0]
     for lo in range(0, n, batch):
@@ -271,14 +271,13 @@ def _eval_metric(net: Network, ds: Dataset, batch: int = 512) -> tuple[float, fl
     out = np.concatenate(outs, axis=0)
     if ds.metric == "accuracy":
         pred = out.argmax(axis=1)
-        return float((pred == ds.eval_y).mean()), float("nan")
+        return float((pred == ds.eval_y).mean())
     z = out.reshape(-1)
-    if ds.metric == "mse":
-        y = ds.eval_y.reshape(-1)
-        return float(((z - y) ** 2).mean()), float("nan")
     y = ds.eval_y.reshape(-1)
+    if ds.metric == "mse":
+        return float(((z - y) ** 2).mean())
     p = 1.0 / (1.0 + np.exp(-z.astype(np.float64)))
-    return binary_log_loss(p.astype(np.float32), y), float("nan")
+    return binary_log_loss(p.astype(np.float32), y)
 
 
 def _train_loss_full(net: Network, ds: Dataset, tx, ty,
@@ -390,7 +389,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     def ms() -> int:
         return int((time.monotonic() - t0) * 1000)
 
-    metric0, _ = _eval_metric(net, ds)
+    metric0 = _eval_metric(net, ds)
     rows.append(MetricsRow(0, 0, _train_loss_full(net, ds, tx, ty),
                            metric0, 0.0, ms()))
 
@@ -429,7 +428,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             scaler.unscale_grads(net.param_sets())
             opt.step(net.param_sets())
             net.refresh_shadows()
-        metric, _ = _eval_metric(net, ds)
+        metric = _eval_metric(net, ds)
         rows.append(MetricsRow(epoch, global_iter,
                                epoch_loss / max(epoch_batches, 1), metric,
                                stats.underflow_fraction, ms()))

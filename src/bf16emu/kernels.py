@@ -2,9 +2,8 @@
 
 Every kernel consumes FP32 arrays (possibly tagged as exactly
 representable in a 16-bit format) and accumulates in FP32.  Quantization
-happens at operator boundaries, driven by the caller's policy; kernels
-trust the tags they are given.  The one exception is the fused LSTM
-cell, which applies the policy at its internal GEMM boundaries.
+happens at operator boundaries, decided by the caller; kernels know
+nothing about the policy and trust the tags they are given.
 
 Reduction order is explicit (`GemmAccumOrder`) so results are
 bit-reproducible.
@@ -12,12 +11,13 @@ bit-reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .tensor import QuantPolicy, RngStream, ShapeError, Tensor, quantize_tensor
+from .tensor import RngStream, ShapeError, Tensor
 
 __all__ = [
     "GemmAccumOrder",
@@ -440,19 +440,14 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return (1.0 / (1.0 + np.exp(-v.astype(np.float32)))).astype(np.float32)
 
 
-def _maybe_q(t: Tensor, policy: QuantPolicy, enabled: bool) -> Tensor:
-    if policy.identity or not enabled or t.tag is policy.precision:
-        return t
-    return quantize_tensor(t, policy.precision, policy.mode)
-
-
 def lstm_cell_forward(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-                      weights: LstmWeights, policy: QuantPolicy,
+                      weights: LstmWeights,
                       order: GemmAccumOrder = GemmAccumOrder.SEQUENTIAL_K):
     """One LSTM step; the cell state stays FP32 throughout.
 
-    Gate pre-activations are computed by gemm on policy-quantized inputs
-    and weights; bias is added in FP32.  Returns (h, c, cache).
+    Gate pre-activations are computed by gemm on ``x``, ``h_prev`` and
+    the weights as given (the caller quantizes them); bias is added in
+    FP32.  Returns (h, c, cache).
     """
     n, isz = x.shape
     hsz = h_prev.shape[1]
@@ -460,12 +455,8 @@ def lstm_cell_forward(x: Tensor, h_prev: Tensor, c_prev: Tensor,
             weights.w_hh.shape != (4 * hsz, hsz) or \
             weights.bias.shape != (4 * hsz,) or c_prev.shape != (n, hsz):
         raise ShapeError("lstm cell shapes inconsistent")
-    rule = policy.rule("lstm")
-    xq = _maybe_q(x, policy, rule.quantize_activations)
-    hq = _maybe_q(h_prev, policy, rule.quantize_activations)
-    wi = _maybe_q(weights.w_ih, policy, rule.quantize_weights)
-    wh = _maybe_q(weights.w_hh, policy, rule.quantize_weights)
-    pre = _gemm(xq.data, wi.data.T, order) + _gemm(hq.data, wh.data.T, order)
+    pre = (_gemm(x.data, weights.w_ih.data.T, order)
+           + _gemm(h_prev.data, weights.w_hh.data.T, order))
     pre = pre + weights.bias.data
     i = _sigmoid(pre[:, :hsz])
     f = _sigmoid(pre[:, hsz:2 * hsz])
@@ -473,18 +464,18 @@ def lstm_cell_forward(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     o = _sigmoid(pre[:, 3 * hsz:])
     c = f * c_prev.data + i * g
     h = o * np.tanh(c).astype(np.float32)
-    cache = dict(xq=xq, hq=hq, wi=wi, wh=wh, c_prev=c_prev.data,
-                 i=i, f=f, g=g, o=o, c=c, order=order)
+    cache = dict(xq=x, hq=h_prev, wi=weights.w_ih, wh=weights.w_hh,
+                 c_prev=c_prev.data, i=i, f=f, g=g, o=o, c=c, order=order)
     return Tensor(h), Tensor(c), cache
 
 
-def lstm_cell_backward(dh: Tensor, dc: Tensor, cache, policy: QuantPolicy,
-                       stats=None):
+def lstm_cell_backward(dh: Tensor, dc: Tensor, cache,
+                       quantize_dpre: Callable[[Tensor], Tensor] | None = None):
     """Gradients of one LSTM step.
 
     Returns (dx, dh_prev, dc_prev, dw_ih, dw_hh, dbias); weight grads FP32.
-    The gate-preactivation error gradient is quantized per the lstm rule
-    before it enters the backward gemms.
+    ``quantize_dpre``, when given, maps the gate-preactivation error
+    gradient to what enters the backward gemms.
     """
     i, f, g, o, c = (cache[k] for k in ("i", "f", "g", "o", "c"))
     order = cache["order"]
@@ -502,18 +493,12 @@ def lstm_cell_backward(dh: Tensor, dc: Tensor, cache, policy: QuantPolicy,
         dg * (one - g * g),
         do * o * (one - o),
     ], axis=1).astype(np.float32)
-    rule = policy.rule("lstm")
-    dpre_t = Tensor(dpre)
-    if not policy.identity and rule.quantize_error_grads:
-        dq = quantize_tensor(dpre_t, policy.precision, policy.mode)
-        if stats is not None:
-            stats.record(dpre_t.data, dq.data)
-        dpre_t = dq
-    dp = dpre_t.data
-    dx = _gemm(dp, cache["wi"].data, order)
-    dh_prev = _gemm(dp, cache["wh"].data, order)
-    dw_ih = _gemm(dp.T, cache["xq"].data, order)
-    dw_hh = _gemm(dp.T, cache["hq"].data, order)
-    dbias = dp.sum(axis=0, dtype=np.float32)
+    if quantize_dpre is not None:
+        dpre = quantize_dpre(Tensor(dpre)).data
+    dx = _gemm(dpre, cache["wi"].data, order)
+    dh_prev = _gemm(dpre, cache["wh"].data, order)
+    dw_ih = _gemm(dpre.T, cache["xq"].data, order)
+    dw_hh = _gemm(dpre.T, cache["hq"].data, order)
+    dbias = dpre.sum(axis=0, dtype=np.float32)
     return (Tensor(dx), Tensor(dh_prev), Tensor(dc_prev), Tensor(dw_ih),
             Tensor(dw_hh), Tensor(dbias))

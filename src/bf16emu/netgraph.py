@@ -3,13 +3,14 @@
 Parameters live as {FP32 master, quantized shadow, FP32 gradient}; bias
 tensors never pass through quantization.  Activations and error
 gradients are quantized where they cross layer boundaries, according to
-the per-layer-class policy.  With an FP32 policy every quantization
-point compiles to the identity and the engine is a plain FP32 network.
+the per-layer-class policy.  Every quantization, shadow weights included,
+goes through `_quantize`.  With an FP32 policy it is the identity and the
+engine is a plain FP32 network.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,23 +172,26 @@ class _Ctx:
     order: GemmAccumOrder
 
 
-def _q_act(t: Tensor, ctx: _Ctx, layer_class: str) -> Tensor:
+_ROLE_FLAGS = {
+    "weight": "quantize_weights",
+    "act": "quantize_activations",
+    "err": "quantize_error_grads",
+}
+
+
+def _quantize(t: Tensor, ctx: _Ctx, layer_class: str, role: str) -> Tensor:
+    """Quantize ``t`` if the policy's rule for ``layer_class`` asks for
+    its role ("weight", "act" or "err"); returns ``t`` itself otherwise.
+
+    Error gradients are recorded in the context's stats.
+    """
     policy = ctx.policy
     if policy.identity or t.tag is policy.precision:
         return t
-    if not policy.rule(layer_class).quantize_activations:
-        return t
-    return quantize_tensor(t, policy.precision, policy.mode)
-
-
-def _q_err(t: Tensor, ctx: _Ctx, layer_class: str) -> Tensor:
-    policy = ctx.policy
-    if policy.identity or t.tag is policy.precision:
-        return t
-    if not policy.rule(layer_class).quantize_error_grads:
+    if not getattr(policy.rule(layer_class), _ROLE_FLAGS[role]):
         return t
     q = quantize_tensor(t, policy.precision, policy.mode)
-    if ctx.stats is not None:
+    if role == "err" and ctx.stats is not None:
         ctx.stats.record(t.data, q.data)
     return q
 
@@ -233,18 +237,18 @@ class _DenseLayer(_Layer):
         if x.data.ndim != 2 or x.shape[1] != self.spec.in_features:
             raise ShapeError(f"dense{self.index} input shape {x.shape}")
         ps = self.params[0]
-        xq = _q_act(x, ctx, "gemm")
+        xq = _quantize(x, ctx, "gemm", "act")
         y = K._gemm(xq.data, ps.shadow.data.T, ctx.order)
         if ps.bias is not None:
             y = y + ps.bias.data
-        out = _q_act(Tensor(y), ctx, "gemm")
+        out = _quantize(Tensor(y), ctx, "gemm", "act")
         tape.caches.append(xq)
         return out
 
     def backward(self, dy, ctx, cache):
         xq = cache
         ps = self.params[0]
-        dyq = _q_err(dy, ctx, "gemm")
+        dyq = _quantize(dy, ctx, "gemm", "err")
         ps.grad += K._gemm(dyq.data.T, xq.data, ctx.order)
         if ps.bias is not None:
             ps.bias_grad += dyq.data.sum(axis=0, dtype=np.float32)
@@ -275,18 +279,18 @@ class _ConvLayer(_Layer):
 
     def forward(self, x, ctx, tape):
         ps = self.params[0]
-        xq = _q_act(x, ctx, "conv")
+        xq = _quantize(x, ctx, "conv", "act")
         y = K.conv2d_forward(xq, ps.shadow, self.conv, ctx.order)
         if ps.bias is not None:
             y = K.bias_add(y, ps.bias)
-        out = _q_act(y, ctx, "conv")
+        out = _quantize(y, ctx, "conv", "act")
         tape.caches.append(xq)
         return out
 
     def backward(self, dy, ctx, cache):
         xq = cache
         ps = self.params[0]
-        dyq = _q_err(dy, ctx, "conv")
+        dyq = _quantize(dy, ctx, "conv", "err")
         dx, dw = K.conv2d_backward(xq, ps.shadow, dyq, self.conv, ctx.order)
         ps.grad += dw.data
         if ps.bias is not None:
@@ -309,7 +313,7 @@ class _BatchNormLayer(_Layer):
 
     def forward(self, x, ctx, tape):
         ps = self.params[0]
-        xq = _q_act(x, ctx, "batchnorm")
+        xq = _quantize(x, ctx, "batchnorm", "act")
         state = BatchNormState(ps.shadow.data, ps.bias.data, self.spec.eps)
         y, cache = K.batchnorm_forward(xq, state)
         tape.caches.append((state, cache))
@@ -317,7 +321,7 @@ class _BatchNormLayer(_Layer):
 
     def backward(self, dy, ctx, cache):
         state, bn_cache = cache
-        dyq = _q_err(dy, ctx, "batchnorm")
+        dyq = _quantize(dy, ctx, "batchnorm", "err")
         dx, dgamma, dbeta = K.batchnorm_backward(dyq, state, bn_cache)
         ps = self.params[0]
         ps.grad += dgamma
@@ -333,12 +337,12 @@ class _ActivationLayer(_Layer):
         self.spec = spec
 
     def forward(self, x, ctx, tape):
-        xq = _q_act(x, ctx, "activation")
+        xq = _quantize(x, ctx, "activation", "act")
         tape.caches.append(xq)
         return K.activation_forward(self.spec.kind, xq, self.spec.alpha)
 
     def backward(self, dy, ctx, cache):
-        dyq = _q_err(dy, ctx, "activation")
+        dyq = _quantize(dy, ctx, "activation", "err")
         return K.activation_backward(self.spec.kind, cache, dyq,
                                      self.spec.alpha)
 
@@ -351,14 +355,14 @@ class _PoolLayer(_Layer):
         self.spec = spec
 
     def forward(self, x, ctx, tape):
-        xq = _q_act(x, ctx, "pool")
+        xq = _quantize(x, ctx, "pool", "act")
         y, cache = K.pool_forward(self.spec.kind, xq, self.spec.window,
                                   self.spec.stride)
         tape.caches.append(cache)
         return y
 
     def backward(self, dy, ctx, cache):
-        dyq = _q_err(dy, ctx, "pool")
+        dyq = _quantize(dy, ctx, "pool", "err")
         return K.pool_backward(self.spec.kind, dyq, cache)
 
 
@@ -375,7 +379,7 @@ class _DropoutLayer(_Layer):
             return x
         if ctx.rng is None:
             raise ValueError("dropout in train mode needs a step rng")
-        xq = _q_act(x, ctx, "dropout")
+        xq = _quantize(x, ctx, "dropout", "act")
         y, mask = K.dropout(xq, self.spec.p, ctx.rng.child(self.index))
         tape.caches.append(mask)
         return y
@@ -383,7 +387,7 @@ class _DropoutLayer(_Layer):
     def backward(self, dy, ctx, cache):
         if cache is None:
             return dy
-        dyq = _q_err(dy, ctx, "dropout")
+        dyq = _quantize(dy, ctx, "dropout", "err")
         scale = np.float32(1.0 / (1.0 - self.spec.p))
         return Tensor(dyq.data * cache * scale)
 
@@ -401,15 +405,15 @@ class _EltwiseAddLayer(_Layer):
         skip = tape.outputs[self.spec.source]
         if skip.shape != x.shape:
             raise ShapeError("eltwise operands differ in shape")
-        xq = _q_act(x, ctx, "eltwise")
-        sq = _q_act(skip, ctx, "eltwise")
+        xq = _quantize(x, ctx, "eltwise", "act")
+        sq = _quantize(skip, ctx, "eltwise", "act")
         tape.caches.append(None)
         return Tensor(xq.data + sq.data)
 
     def backward(self, dy, ctx, cache):
         # The caller routes a copy of the returned gradient to the skip
         # source as well; both branches see the same quantized gradient.
-        return _q_err(dy, ctx, "eltwise")
+        return _quantize(dy, ctx, "eltwise", "err")
 
 
 class _LstmLayer(_Layer):
@@ -442,11 +446,14 @@ class _LstmLayer(_Layer):
         h = Tensor(np.zeros((n, hsz), np.float32))
         c = Tensor(np.zeros((n, hsz), np.float32))
         weights = self._weights()
+        # Quantization is elementwise, so one call on the whole sequence
+        # gives the same bits as one call per step.
+        xq = _quantize(x, ctx, "lstm", "act")
         steps = []
         for step in range(t):
-            xt = Tensor(np.ascontiguousarray(x.data[:, step, :]), x.tag)
-            h, c, cache = K.lstm_cell_forward(xt, h, c, weights, ctx.policy,
-                                              ctx.order)
+            xt = Tensor(np.ascontiguousarray(xq.data[:, step, :]), xq.tag)
+            hq = _quantize(h, ctx, "lstm", "act")
+            h, c, cache = K.lstm_cell_forward(xt, hq, c, weights, ctx.order)
             steps.append(cache)
         tape.caches.append((steps, x.shape))
         return h
@@ -455,13 +462,14 @@ class _LstmLayer(_Layer):
         steps, x_shape = cache
         n, t, _ = x_shape
         hsz = self.spec.hidden_size
-        dh = _q_err(dy, ctx, "lstm")
+        dh = _quantize(dy, ctx, "lstm", "err")
         dc = Tensor(np.zeros((n, hsz), np.float32))
         dx_seq = np.zeros(x_shape, np.float32)
         w_ih_ps, w_hh_ps = self.params
         for step in range(t - 1, -1, -1):
             dx, dh, dc, dw_ih, dw_hh, dbias = K.lstm_cell_backward(
-                dh, dc, steps[step], ctx.policy, ctx.stats)
+                dh, dc, steps[step],
+                lambda dpre: _quantize(dpre, ctx, "lstm", "err"))
             dx_seq[:, step, :] = dx.data
             w_ih_ps.grad += dw_ih.data
             w_hh_ps.grad += dw_hh.data
@@ -518,16 +526,11 @@ class Network:
 
     def refresh_shadows(self):
         """Re-quantize every master into its shadow; bias stays FP32."""
+        ctx = _Ctx(self.policy, False, None, None, self.order)
         for layer in self.layers:
-            rule = self.policy.rule(layer.layer_class)
             for ps in layer.params:
-                if self.policy.identity or not rule.quantize_weights:
-                    ps.shadow = Tensor(ps.master.data.copy(),
-                                       ps.master.tag)
-                else:
-                    ps.shadow = quantize_tensor(ps.master,
-                                                self.policy.precision,
-                                                self.policy.mode)
+                q = _quantize(ps.master, ctx, layer.layer_class, "weight")
+                ps.shadow = ps.master.copy() if q is ps.master else q
                 assert ps.bias is None or ps.bias.tag is Precision.FP32
 
     def zero_grads(self):

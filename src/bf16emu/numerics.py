@@ -1,9 +1,12 @@
 """Bit-exact scalar and bulk conversions for BFLOAT16 and IEEE binary16.
 
-All conversions go through the FP32 bit pattern.  BFLOAT16 is defined as
-the top 16 bits of the FP32 encoding (1 sign, 8 exponent, 7 mantissa),
-rounded either to nearest-even on the discarded low 16 bits or by direct
-truncation.  FP16 is standard IEEE binary16 with subnormal support.
+BFLOAT16 is the top 16 bits of the FP32 encoding (1 sign, 8 exponent,
+7 mantissa).  Truncation keeps them as they are; round-to-nearest-even
+adds 0x7FFF plus the lowest kept bit to the FP32 pattern before the
+shift.  FP16 is standard IEEE binary16 with subnormal support; narrowing
+to it is NumPy's float32 -> float16 cast, which rounds to nearest even
+exactly, and truncation steps that result back by one ulp where it
+rounded away from zero.
 
 Quantized values are usually kept as FP32 floats whose low mantissa bits
 are zero; the ``*_array`` functions operate on numpy arrays and are what
@@ -192,24 +195,21 @@ def f32_to_bf16_array(
     ``flush_subnormals`` is disabled.
     """
     f = np.ascontiguousarray(x, dtype=np.float32)
-    bits = f.view(np.uint32).astype(np.uint32)
-    upper = (bits >> np.uint32(16)).astype(np.uint32)
-    exp32 = (bits >> np.uint32(23)) & np.uint32(0xFF)
-    man32 = bits & np.uint32(0x007FFFFF)
-    is_nan = (exp32 == 0xFF) & (man32 != 0)
+    bits = f.view(np.uint32)
+    is_nan = np.isnan(f)
 
     if mode is RoundingMode.NEAREST_EVEN:
-        lower = bits & np.uint32(0xFFFF)
-        tie = (lower == 0x8000) & ((upper & np.uint32(1)) == 1)
-        round_up = ((lower > 0x8000) | tie) & ~is_nan
-        upper = upper + round_up.astype(np.uint32)
-
-    out = (upper & np.uint32(0xFFFF)).astype(np.uint16)
+        # Adding 0x7FFF plus the lowest kept bit carries into bit 16
+        # exactly when the discarded half is above 0x8000, or equals it
+        # with an odd kept half.  Only NaN patterns can wrap around, and
+        # those are replaced below.
+        bits = bits + (np.uint32(0x7FFF)
+                       + ((bits >> np.uint32(16)) & np.uint32(1)))
+    out = (bits >> np.uint32(16)).astype(np.uint16)
     if np.any(is_nan):
         # Keep the truncated payload when nonzero; a payload that lost
         # all its bits would decode as infinity, so canonicalize it.
-        kept = ((bits >> np.uint32(16)).astype(np.uint16)
-                & np.uint16(0xFFFF))
+        kept = (f.view(np.uint32) >> np.uint32(16)).astype(np.uint16)
         lost = (kept & np.uint16(0x007F)) == 0
         canon = ((kept & np.uint16(0x8000)) | np.uint16(0x7FC0))
         out = np.where(is_nan, np.where(lost, canon, kept), out)
@@ -230,70 +230,33 @@ def f32_to_fp16_array(
 ) -> np.ndarray:
     """Convert FP32 values to IEEE binary16 bit patterns (uint16).
 
-    Subnormals are supported.  Overflow rounds to infinity under
-    NEAREST_EVEN and saturates to the maximum finite value under
-    TRUNCATE (round toward zero never leaves the finite range).
+    NEAREST_EVEN is NumPy's IEEE float32 -> float16 cast: ties to even,
+    subnormal results kept, overflow to infinity.  TRUNCATE steps that
+    result back by one ulp wherever it rounded away from zero, so
+    overflow saturates to the maximum finite value (round toward zero
+    never leaves the finite range).  NaN inputs map to the canonical
+    quiet NaN with the sign preserved.
     """
-    return _narrow_from_f32(x, ebits=5, mbits=10, bias=15, mode=mode)
+    f = np.ascontiguousarray(x, dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = f.astype(np.float16)
+    out = h.view(np.uint16)
+    if mode is RoundingMode.TRUNCATE:
+        # Sign-magnitude encoding: one less is one ulp toward zero, and
+        # infinity minus one is the maximum finite value.
+        away = np.abs(h.astype(np.float32)) > np.abs(f)
+        out = out - away.astype(np.uint16)
+    is_nan = np.isnan(f)
+    if np.any(is_nan):
+        sign = (f.view(np.uint32)[is_nan] >> np.uint32(16)).astype(np.uint16)
+        out[is_nan] = (sign & np.uint16(0x8000)) | np.uint16(0x7E00)
+    return out
 
 
 def fp16_to_f32_array(bits) -> np.ndarray:
     """Exact widening of binary16 patterns to FP32 (subnormals included)."""
     b = np.ascontiguousarray(bits, dtype=np.uint16)
     return b.view(np.float16).astype(np.float32)
-
-
-def _narrow_from_f32(x, *, ebits: int, mbits: int, bias: int,
-                     mode: RoundingMode) -> np.ndarray:
-    """Bit-level narrowing of FP32 to a (1, ebits, mbits) format.
-
-    Only formats whose exponent range is strictly narrower than FP32 are
-    supported; FP32 subnormal inputs then always underflow to zero.
-    """
-    assert bias < 127
-    f = np.ascontiguousarray(x, dtype=np.float32)
-    bits = f.view(np.uint32).astype(np.int64)
-    sign = (bits >> 31) & 1
-    exp32 = (bits >> 23) & 0xFF
-    man32 = bits & 0x7FFFFF
-
-    emask = (1 << ebits) - 1
-    sign_out = sign << (ebits + mbits)
-    qnan_out = sign_out | (emask << mbits) | (1 << (mbits - 1))
-    inf_out = sign_out | (emask << mbits)
-    max_out = sign_out | ((emask - 1) << mbits) | ((1 << mbits) - 1)
-
-    # 24-bit significand with the hidden bit made explicit.
-    sig = man32 | 0x800000
-    biased = (exp32 - 127) + bias
-    shift = np.where(biased >= 1, 23 - mbits, 23 - mbits + (1 - biased))
-    shift = np.clip(shift, 0, 26)
-    half = np.int64(1) << (shift - 1)
-    keep = sig >> shift
-    if mode is RoundingMode.NEAREST_EVEN:
-        rem = sig & ((np.int64(1) << shift) - 1)
-        round_up = (rem > half) | ((rem == half) & ((keep & 1) == 1))
-        keep = keep + round_up
-
-    # Normal results: carry out of the significand bumps the exponent.
-    carry = keep >> (mbits + 1)
-    keep_n = np.where(carry != 0, keep >> 1, keep)
-    exp_n = biased + carry
-    normal = sign_out | (exp_n << mbits) | (keep_n & ((1 << mbits) - 1))
-    if mode is RoundingMode.NEAREST_EVEN:
-        normal = np.where(exp_n >= emask, inf_out, normal)
-    else:
-        normal = np.where(exp_n >= emask, max_out, normal)
-
-    # Subnormal results: no hidden bit; rounding up to 2^mbits lands
-    # exactly on the minimum normal encoding.
-    subnormal = sign_out | keep
-
-    out = np.where(biased >= 1, normal, subnormal)
-    out = np.where(exp32 == 0, sign_out, out)           # f32 subnormal -> 0
-    out = np.where((exp32 == 0xFF) & (man32 == 0), inf_out, out)
-    out = np.where((exp32 == 0xFF) & (man32 != 0), qnan_out, out)
-    return out.astype(np.uint16)
 
 
 def quantize_array(x, spec: FormatSpec,

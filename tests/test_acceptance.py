@@ -268,13 +268,13 @@ def test_criterion_05_gradient_checks():
         cl = rng.standard_normal((2, 2)).astype(np.float32)
         dh = rng.standard_normal((2, 2)).astype(np.float32)
         _, _, cache = lstm_cell_forward(Tensor(xl), Tensor(hl), Tensor(cl),
-                                        wl, pol)
+                                        wl)
         dxl, _, _, _, _, _ = lstm_cell_backward(
-            Tensor(dh), Tensor(np.zeros((2, 2), np.float32)), cache, pol)
+            Tensor(dh), Tensor(np.zeros((2, 2), np.float32)), cache)
 
         def lstm_loss(v):
             h, _, _ = lstm_cell_forward(Tensor(v), Tensor(hl), Tensor(cl),
-                                        wl, pol)
+                                        wl)
             return float((h.data.astype(np.float64) * dh).sum())
         assert_grads_close(dxl.data, fd_grad(lstm_loss, xl.copy()))
 

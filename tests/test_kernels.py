@@ -28,7 +28,6 @@ from bf16emu.kernels import (
 )
 from bf16emu.tensor import (
     Precision,
-    QuantPolicy,
     RngStream,
     ShapeError,
     Tensor,
@@ -626,7 +625,7 @@ class TestLstmCell:
         w = zero_lstm_weights(3, 2)
         z = Tensor(np.zeros((2, 3), np.float32))
         zh = Tensor(np.zeros((2, 2), np.float32))
-        h, c, _ = lstm_cell_forward(z, zh, zh.copy(), w, QuantPolicy.fp32())
+        h, c, _ = lstm_cell_forward(z, zh, zh.copy(), w)
         assert np.all(h.data == 0.0) and np.all(c.data == 0.0)
 
     def test_zero_weights_halve_cell_state(self):
@@ -634,7 +633,7 @@ class TestLstmCell:
         x = Tensor(np.ones((1, 3), np.float32))
         h_prev = Tensor(np.ones((1, 2), np.float32))
         c_prev = Tensor(np.float32([[0.8, -0.4]]))
-        h, c, _ = lstm_cell_forward(x, h_prev, c_prev, w, QuantPolicy.fp32())
+        h, c, _ = lstm_cell_forward(x, h_prev, c_prev, w)
         assert np.allclose(c.data, 0.5 * c_prev.data, atol=1e-7)
         assert np.allclose(h.data, 0.5 * np.tanh(0.5 * c_prev.data),
                            atol=1e-6)
@@ -645,7 +644,7 @@ class TestLstmCell:
         x = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
         h_prev = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
         c_prev = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
-        h, c, _ = lstm_cell_forward(x, h_prev, c_prev, w, QuantPolicy.fp32())
+        h, c, _ = lstm_cell_forward(x, h_prev, c_prev, w)
         h_ref, c_ref = reference_lstm_cell(x.data, h_prev.data,
                                            c_prev.data, w)
         assert np.array_equal(h.data.view(np.uint32),
@@ -659,11 +658,9 @@ class TestLstmCell:
         x = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
         h_prev = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
         c_prev = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
-        _, _, cache = lstm_cell_forward(x, h_prev, c_prev, w,
-                                        QuantPolicy.fp32())
+        _, _, cache = lstm_cell_forward(x, h_prev, c_prev, w)
         zeros = Tensor(np.zeros((2, 2), np.float32))
-        outs = lstm_cell_backward(zeros, zeros.copy(), cache,
-                                  QuantPolicy.fp32())
+        outs = lstm_cell_backward(zeros, zeros.copy(), cache)
         for t in outs:
             assert np.all(t.data == 0.0)
 
@@ -676,19 +673,18 @@ class TestLstmCell:
         c_prev = rng.standard_normal((n, hsz)).astype(np.float32)
         dh = rng.standard_normal((n, hsz)).astype(np.float32)
         dc = rng.standard_normal((n, hsz)).astype(np.float32)
-        pol = QuantPolicy.fp32()
 
         def loss(xv, hv, cv, wih, whh, bias):
             weights = LstmWeights(Tensor(wih), Tensor(whh), Tensor(bias))
             h, c, _ = lstm_cell_forward(Tensor(xv), Tensor(hv), Tensor(cv),
-                                        weights, pol)
+                                        weights)
             return float((h.data.astype(np.float64) * dh).sum()
                          + (c.data.astype(np.float64) * dc).sum())
 
         _, _, cache = lstm_cell_forward(
-            Tensor(x), Tensor(h_prev), Tensor(c_prev), w, pol)
+            Tensor(x), Tensor(h_prev), Tensor(c_prev), w)
         dx, dhp, dcp, dwih, dwhh, dbias = lstm_cell_backward(
-            Tensor(dh), Tensor(dc), cache, pol)
+            Tensor(dh), Tensor(dc), cache)
 
         args = [x, h_prev, c_prev, w.w_ih.data, w.w_hh.data, w.bias.data]
         for idx, analytic in enumerate(
@@ -704,15 +700,14 @@ class TestLstmCell:
     def test_backward_deterministic(self):
         rng = np.random.default_rng(20)
         w = make_lstm_weights(rng, 3, 2)
-        pol = QuantPolicy.bf16()
         x = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
         h_prev = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
         c_prev = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
         dh = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
         dc = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
-        _, _, cache = lstm_cell_forward(x, h_prev, c_prev, w, pol)
-        first = lstm_cell_backward(dh, dc, cache, pol)
-        second = lstm_cell_backward(dh, dc, cache, pol)
+        _, _, cache = lstm_cell_forward(x, h_prev, c_prev, w)
+        first = lstm_cell_backward(dh, dc, cache)
+        second = lstm_cell_backward(dh, dc, cache)
         for a, b in zip(first, second):
             assert np.array_equal(a.data.view(np.uint32),
                                   b.data.view(np.uint32))
@@ -723,4 +718,4 @@ class TestLstmCell:
             lstm_cell_forward(Tensor(np.zeros((2, 4), np.float32)),
                               Tensor(np.zeros((2, 2), np.float32)),
                               Tensor(np.zeros((2, 2), np.float32)),
-                              w, QuantPolicy.fp32())
+                              w)

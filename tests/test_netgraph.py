@@ -318,6 +318,49 @@ class TestUnderflowAccounting:
         assert agree.mean() >= 0.99
 
 
+class TestLstmQuantization:
+    """The lstm rule alone decides how the cell's inputs and its
+    gate-preactivation error gradients are quantized."""
+
+    N, T, I, H = 3, 4, 2, 5
+
+    def run(self, policy):
+        net = build_network([Lstm(self.I, self.H), Dense(self.H, 2)],
+                            policy, RngStream(29))
+        rng = np.random.default_rng(30)
+        x = Tensor(rng.standard_normal(
+            (self.N, self.T, self.I)).astype(np.float32))
+        dy = Tensor(rng.standard_normal((self.N, 2)).astype(np.float32))
+        _, tape = net.forward(x, train=True)
+        stats = QuantStats()
+        net.zero_grads()
+        net.backward(tape, dy, stats=stats)
+        steps, _ = tape.caches[0]
+        return steps, stats
+
+    def test_error_grads_recorded_once_per_step(self):
+        policy = QuantPolicy.fp16()
+        _, on = self.run(policy)
+        _, off = self.run(policy.with_rule("lstm",
+                                           quantize_error_grads=False))
+        n, t, h = self.N, self.T, self.H
+        # dy entering the layer, then the (N, 4H) gate gradient per step,
+        # less its forget-gate block at step 0: the cell starts from
+        # c = 0, so that block is exactly zero and is not counted.
+        assert on.nonzero - off.nonzero == n * h + t * n * 4 * h - n * h
+
+    def test_cell_inputs_follow_activation_rule(self):
+        policy = QuantPolicy.bf16()
+        steps, _ = self.run(policy)
+        assert len(steps) == self.T
+        assert all(c["xq"].tag is Precision.BF16 for c in steps)
+        assert all(c["hq"].tag is Precision.BF16 for c in steps)
+        steps, _ = self.run(policy.with_rule("lstm",
+                                             quantize_activations=False))
+        assert all(c["xq"].tag is Precision.FP32 for c in steps)
+        assert all(c["hq"].tag is Precision.FP32 for c in steps)
+
+
 class TestQuantizationPlacement:
     def test_dense_output_quantized_after_fp32_bias(self):
         net = build_network([Dense(2, 2)], QuantPolicy.bf16(), RngStream(19))

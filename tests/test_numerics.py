@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,15 @@ class TestFp16Conversion:
 
     def test_nan_canonical(self):
         assert f32_to_fp16(float("nan"), RNE).bits == 0x7E00
+
+    def test_overflow_nan_and_underflow_raise_no_warning(self):
+        x = np.float32([65520.0, 1e30, -np.inf, np.nan, 1e-30])
+        want = {RNE: [0x7C00, 0x7C00, 0xFC00, 0x7E00, 0x0000],
+                TRUNC: [0x7BFF, 0x7BFF, 0xFC00, 0x7E00, 0x0000]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mode, bits in want.items():
+                assert f32_to_fp16_array(x, mode).tolist() == bits
 
 
 class TestQuantizeScalar:
