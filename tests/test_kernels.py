@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bf16emu import kernels
 from bf16emu.kernels import (
     ActivationKind,
     BatchNormState,
@@ -33,6 +34,8 @@ from bf16emu.tensor import (
     Tensor,
     quantize_tensor,
 )
+
+from oracles import gemm_loop
 
 SEQ = GemmAccumOrder.SEQUENTIAL_K
 PAIRED = GemmAccumOrder.PAIRED_K
@@ -144,9 +147,14 @@ class TestGemm:
         s = quantize_tensor(Tensor(np.float32([1048577.0])), Precision.BF16)
         assert s.data[0] == 1048576.0
 
+    # m*n == 1 stays on the per-k loop, since reducing the k axis in one
+    # NumPy call would sum it pairwise; (96, 5, 96) is above the switch
+    # point of the chunked path.
     @pytest.mark.parametrize("order", [SEQ, PAIRED])
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (4, 7, 4),
-                                       (2, 8, 3)])
+                                       (2, 8, 3), (1, 7, 1), (1, 8, 1),
+                                       (1, 128, 1), (1, 1000, 1),
+                                       (96, 5, 96)])
     def test_matches_scalar_oracle(self, order, shape):
         m, k, n = shape
         rng = np.random.default_rng(m * 100 + k * 10 + n)
@@ -155,6 +163,66 @@ class TestGemm:
         got = gemm(a, b, order).data
         want = gemm_oracle(a.data, b.data, order)
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("order", [SEQ, PAIRED])
+    @pytest.mark.parametrize("chunks, rest", [(3, 17), (2, 33)])
+    def test_partial_last_chunk_matches_per_k_loop(self, order, chunks, rest):
+        # Several whole chunks, a partial one and, for odd k under
+        # PAIRED_K, a lone last product.
+        k = chunks * (kernels._CHUNK_ELEMS // (64 * 64)) + rest
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((64, k)).astype(np.float32)
+        b = rng.standard_normal((k, 64)).astype(np.float32)
+        got = gemm(Tensor(a), Tensor(b), order).data
+        want = gemm_loop(a, b, order is PAIRED)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("order", [SEQ, PAIRED])
+    @pytest.mark.parametrize("shape", [(1, 9, 1), (3, 9, 4)])
+    def test_negative_zero_products_sum_to_positive_zero(self, order, shape):
+        m, k, n = shape
+        # Every product is -0.0; a sum started at +0.0, as in the loop,
+        # stays +0.0.
+        a = Tensor(np.full((m, k), -0.0, np.float32))
+        b = Tensor(np.abs(rand_bf16(np.random.default_rng(4), (k, n)).data))
+        got = gemm(a, b, order).data
+        assert np.array_equal(got.view(np.uint32), np.zeros((m, n), np.uint32))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("order", [SEQ, PAIRED])
+    def test_inf_and_nan_propagate_like_scalar_oracle(self, order):
+        rng = np.random.default_rng(5)
+        a = rand_bf16(rng, (4, 9)).data.copy()
+        b = rand_bf16(rng, (9, 5)).data.copy()
+        a[0, 3] = np.inf          # meets b[3, 1] == 0: inf * 0 is NaN
+        b[3, 1] = 0.0
+        a[1, 6] = -np.inf
+        a[2, 2] = np.nan
+        b[7, 4] = np.inf
+        got = gemm(Tensor(a), Tensor(b), order).data
+        want = gemm_oracle(a, b, order)
+        assert np.isnan(got[0, 1]) and np.isnan(got[2]).all()
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("inputs", ["fp32", "bf16"])
+    @pytest.mark.parametrize("order", [SEQ, PAIRED])
+    def test_sweep_matches_per_k_loop(self, order, inputs):
+        rng = np.random.default_rng(7)
+        for m in range(1, 7):
+            for n in range(1, 7):
+                chunk = kernels._CHUNK_ELEMS // (m * n)
+                for k in (1, 2, 7, 8, 9, 127, 128, 129,
+                          chunk - 1, chunk, chunk + 1):
+                    a = rng.standard_normal((m, k)).astype(np.float32)
+                    b = rng.standard_normal((k, n)).astype(np.float32)
+                    if inputs == "bf16":
+                        a = quantize_tensor(Tensor(a), Precision.BF16).data
+                        b = quantize_tensor(Tensor(b), Precision.BF16).data
+                    got = gemm(Tensor(a), Tensor(b), order).data
+                    want = gemm_loop(a, b, order is PAIRED)
+                    assert np.array_equal(got.view(np.uint32),
+                                          want.view(np.uint32)), (m, k, n)
 
     def test_orders_can_differ(self):
         # Sequential: ((1 + u) + u) + u sticks at 1.0 (each add is a tie

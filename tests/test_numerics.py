@@ -128,6 +128,39 @@ class TestFp16Conversion:
             for mode, bits in want.items():
                 assert f32_to_fp16_array(x, mode).tolist() == bits
 
+    @pytest.mark.parametrize("mode", [RNE, TRUNC])
+    @pytest.mark.parametrize("bits", [
+        0x33800000,     # 2**-24, the smallest subnormal
+        0x33000000,     # 2**-25, the tie between 0 and 2**-24
+        0x33000001,     # just above that tie
+        0x387FFFFF,     # just under 2**-14
+        0x38800000,     # 2**-14, the smallest normal
+        0x477FE000,     # 65504, the largest finite value
+        0x477FEFFF,     # 65519.996, just under the tie with infinity
+        0x477FF000,     # 65520
+    ])
+    def test_boundaries_match_exact_oracle(self, mode, bits):
+        for b in (bits, bits | 0x80000000):
+            x = f32_from_bits(b)
+            got = fp16_to_f32(f32_to_fp16(x, mode))
+            want = round_exact(x, FP16, mode.value)
+            assert bits_from_f32(got) == bits_from_f32(want), hex(b)
+
+    @pytest.mark.parametrize("mode", [RNE, TRUNC])
+    def test_in_and_out_of_range_elements_interleaved(self, mode):
+        rng = np.random.default_rng(8)
+        mag = 2.0 ** rng.uniform(-30, 20, size=(64, 48))
+        x = (mag * rng.choice([-1.0, 1.0], size=mag.shape)).astype(np.float32)
+        x[::5, ::3] = 0.0
+        x[1::7, 2::5] = -np.inf
+        x[3::11, ::7] = 1e30
+        x[2::9, 1::4] = 2.0 ** -25
+        out = f32_to_fp16_array(x, mode)
+        assert out.shape == x.shape
+        got = fp16_to_f32_array(out)
+        want = round_vectorized(x, FP16, mode.value).astype(np.float32)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
 
 class TestQuantizeScalar:
     def test_pi_bf16(self):
