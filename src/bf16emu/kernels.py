@@ -115,7 +115,8 @@ def _gemm_chunked(a: np.ndarray, b: np.ndarray, order: GemmAccumOrder,
     n = b.shape[1]
     paired = order is GemmAccumOrder.PAIRED_K
     steps = k - k % 2 if paired else k
-    kc = min(max(2, _CHUNK_ELEMS // (m * n)) & ~1, steps)
+    # m*n <= _CHUNKED_MAX_MN keeps the even chunk length at 32 or more.
+    kc = min((_CHUNK_ELEMS // (m * n)) & ~1, steps)
     buf = np.empty((1 + (kc // 2 if paired else kc), m, n), np.float32)
     prod = np.empty((kc, m, n), np.float32) if paired else buf[1:]
     for j in range(0, steps, kc):

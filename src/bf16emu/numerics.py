@@ -6,8 +6,7 @@ adds 0x7FFF plus the lowest kept bit to the FP32 pattern before the
 shift.  FP16 is standard IEEE binary16 with subnormal support; narrowing
 to it is NumPy's float32 -> float16 cast, which rounds to nearest even
 exactly, and truncation steps that result back by one ulp where it
-rounded away from zero.  Inputs whose result is not an fp16 normal
-number, for which the cast is slow, are rounded without it.
+rounded away from zero.
 
 Quantized values are usually kept as FP32 floats whose low mantissa bits
 are zero; the ``*_array`` functions operate on numpy arrays and are what
@@ -237,50 +236,20 @@ def f32_to_fp16_array(
     overflow saturates to the maximum finite value (round toward zero
     never leaves the finite range).  NaN inputs map to the canonical
     quiet NaN with the sign preserved.
-
-    NumPy's cast takes about 25 times longer for an element whose result
-    is subnormal, underflows to zero or overflows.  Those elements, and
-    NaNs, are cast as signed zeros and their magnitude is computed
-    directly.  Below 2**-14 it is the input in units of 2**-24, rounded:
-    scaling by 2**24 is exact, and 1024 is the pattern of 2**-14 itself.
-    From 65520, the smallest magnitude that rounds past 65504, the input
-    is first capped so that it rounds to infinity's pattern, or under
-    truncation to the maximum finite one unless it is infinite.
     """
     f = np.ascontiguousarray(x, dtype=np.float32)
-    bits = f.view(np.uint32).ravel()
-    mag = bits & np.uint32(0x7FFFFFFF)
-    # Nonzero magnitudes below 2**-14 (zero wraps around), and from 65520
-    # up, NaN included.
-    edge = mag >= np.uint32(0x477FF000)
-    mag -= np.uint32(1)
-    edge |= mag < np.uint32(0x387FFFFF)
-    edge = edge.nonzero()[0]
-    if edge.size:
-        e = bits[edge]
-        f = f.copy()
-        f.view(np.uint32).ravel()[edge] = e & np.uint32(0x80000000)
-    h = f.astype(np.float16)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = f.astype(np.float16)
     out = h.view(np.uint16)
     if mode is RoundingMode.TRUNCATE:
-        # Sign-magnitude encoding: one less is one ulp toward zero.
+        # Sign-magnitude encoding: one less is one ulp toward zero, and
+        # infinity minus one is the maximum finite value.
         away = np.abs(h.astype(np.float32)) > np.abs(f)
-        out -= away.astype(np.uint16)
-    if edge.size:
-        # The cast gave these elements a signed zero; OR in the magnitude.
-        m = e & np.uint32(0x7FFFFFFF)
-        if mode is RoundingMode.NEAREST_EVEN:
-            # 0x3AF80000 is 0x7C00 * 2**-24.
-            q = np.rint(np.minimum(m, np.uint32(0x3AF80000)).view(np.float32)
-                        * np.float32(2.0 ** 24))
-        else:
-            # 0x3AF7FE00 is 0x7BFF * 2**-24; infinity and NaN step to 0x7C00.
-            q = np.trunc(np.minimum(m, np.uint32(0x3AF7FE00)).view(np.float32)
-                         * np.float32(2.0 ** 24))
-            q += m >= np.uint32(0x7F800000)
-        q = q.astype(np.uint16)
-        q[m > np.uint32(0x7F800000)] = 0x7E00
-        out.ravel()[edge] |= q
+        out = out - away.astype(np.uint16)
+    is_nan = np.isnan(f)
+    if np.any(is_nan):
+        sign = (f.view(np.uint32)[is_nan] >> np.uint32(16)).astype(np.uint16)
+        out[is_nan] = (sign & np.uint16(0x8000)) | np.uint16(0x7E00)
     return out
 
 

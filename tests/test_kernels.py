@@ -211,9 +211,13 @@ class TestGemm:
         rng = np.random.default_rng(7)
         for m in range(1, 7):
             for n in range(1, 7):
-                chunk = kernels._CHUNK_ELEMS // (m * n)
-                for k in (1, 2, 7, 8, 9, 127, 128, 129,
-                          chunk - 1, chunk, chunk + 1):
+                ks = [1, 2, 7, 8, 9, 127, 128, 129]
+                if m * n > 1:
+                    # One either side of the chunk length, by the
+                    # kernel's own rule; m*n == 1 never takes that path.
+                    chunk = (kernels._CHUNK_ELEMS // (m * n)) & ~1
+                    ks += [chunk - 1, chunk, chunk + 1]
+                for k in ks:
                     a = rng.standard_normal((m, k)).astype(np.float32)
                     b = rng.standard_normal((k, n)).astype(np.float32)
                     if inputs == "bf16":
