@@ -1,11 +1,13 @@
 """Sequential network execution with the mixed-precision dataflow.
 
 Parameters live as {FP32 master, quantized shadow, FP32 gradient}; bias
-tensors never pass through quantization.  Activations and error
-gradients are quantized where they cross layer boundaries, according to
-the per-layer-class policy.  Every quantization, shadow weights included,
-goes through `_quantize`.  With an FP32 policy it is the identity and the
-engine is a plain FP32 network.
+tensors never pass through quantization.  Layers do only arithmetic and
+caching.  `Network` quantizes at layer boundaries under each layer's
+class rule: the network input (first layer's rule), each layer's output
+and the error gradient entering each layer.  Only the LSTM quantizes
+inside itself, in its recurrence.  Every quantization, shadow weights
+included, goes through `_quantize`.  With an FP32 policy it is the
+identity and the engine is a plain FP32 network.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class Lstm:
 
 @dataclass(frozen=True)
 class Flatten:
-    """Reshape (N, ...) to (N, features); no arithmetic, no quantization."""
+    """Reshape (N, ...) to (N, features); no arithmetic, keeps the tag."""
 
 
 # --------------------------------------------------------------------------
@@ -237,23 +239,19 @@ class _DenseLayer(_Layer):
         if x.data.ndim != 2 or x.shape[1] != self.spec.in_features:
             raise ShapeError(f"dense{self.index} input shape {x.shape}")
         ps = self.params[0]
-        xq = _quantize(x, ctx, "gemm", "act")
-        y = K._gemm(xq.data, ps.shadow.data.T, ctx.order)
+        y = K._gemm(x.data, ps.shadow.data.T, ctx.order)
         if ps.bias is not None:
             y = y + ps.bias.data
-        out = _quantize(Tensor(y), ctx, "gemm", "act")
-        tape.caches.append(xq)
-        return out
+        tape.caches.append(x)
+        return Tensor(y)
 
     def backward(self, dy, ctx, cache):
-        xq = cache
+        x = cache
         ps = self.params[0]
-        dyq = _quantize(dy, ctx, "gemm", "err")
-        ps.grad += K._gemm(dyq.data.T, xq.data, ctx.order)
+        ps.grad += K._gemm(dy.data.T, x.data, ctx.order)
         if ps.bias is not None:
-            ps.bias_grad += dyq.data.sum(axis=0, dtype=np.float32)
-        dx = K._gemm(dyq.data, ps.shadow.data, ctx.order)
-        return Tensor(dx)
+            ps.bias_grad += dy.data.sum(axis=0, dtype=np.float32)
+        return Tensor(K._gemm(dy.data, ps.shadow.data, ctx.order))
 
 
 class _ConvLayer(_Layer):
@@ -279,22 +277,19 @@ class _ConvLayer(_Layer):
 
     def forward(self, x, ctx, tape):
         ps = self.params[0]
-        xq = _quantize(x, ctx, "conv", "act")
-        y = K.conv2d_forward(xq, ps.shadow, self.conv, ctx.order)
+        y = K.conv2d_forward(x, ps.shadow, self.conv, ctx.order)
         if ps.bias is not None:
             y = K.bias_add(y, ps.bias)
-        out = _quantize(y, ctx, "conv", "act")
-        tape.caches.append(xq)
-        return out
+        tape.caches.append(x)
+        return y
 
     def backward(self, dy, ctx, cache):
-        xq = cache
+        x = cache
         ps = self.params[0]
-        dyq = _quantize(dy, ctx, "conv", "err")
-        dx, dw = K.conv2d_backward(xq, ps.shadow, dyq, self.conv, ctx.order)
+        dx, dw = K.conv2d_backward(x, ps.shadow, dy, self.conv, ctx.order)
         ps.grad += dw.data
         if ps.bias is not None:
-            ps.bias_grad += dyq.data.sum(axis=(0, 2, 3), dtype=np.float32)
+            ps.bias_grad += dy.data.sum(axis=(0, 2, 3), dtype=np.float32)
         return dx
 
 
@@ -313,16 +308,14 @@ class _BatchNormLayer(_Layer):
 
     def forward(self, x, ctx, tape):
         ps = self.params[0]
-        xq = _quantize(x, ctx, "batchnorm", "act")
         state = BatchNormState(ps.shadow.data, ps.bias.data, self.spec.eps)
-        y, cache = K.batchnorm_forward(xq, state)
+        y, cache = K.batchnorm_forward(x, state)
         tape.caches.append((state, cache))
         return y
 
     def backward(self, dy, ctx, cache):
         state, bn_cache = cache
-        dyq = _quantize(dy, ctx, "batchnorm", "err")
-        dx, dgamma, dbeta = K.batchnorm_backward(dyq, state, bn_cache)
+        dx, dgamma, dbeta = K.batchnorm_backward(dy, state, bn_cache)
         ps = self.params[0]
         ps.grad += dgamma
         ps.bias_grad += dbeta
@@ -337,13 +330,11 @@ class _ActivationLayer(_Layer):
         self.spec = spec
 
     def forward(self, x, ctx, tape):
-        xq = _quantize(x, ctx, "activation", "act")
-        tape.caches.append(xq)
-        return K.activation_forward(self.spec.kind, xq, self.spec.alpha)
+        tape.caches.append(x)
+        return K.activation_forward(self.spec.kind, x, self.spec.alpha)
 
     def backward(self, dy, ctx, cache):
-        dyq = _quantize(dy, ctx, "activation", "err")
-        return K.activation_backward(self.spec.kind, cache, dyq,
+        return K.activation_backward(self.spec.kind, cache, dy,
                                      self.spec.alpha)
 
 
@@ -355,15 +346,13 @@ class _PoolLayer(_Layer):
         self.spec = spec
 
     def forward(self, x, ctx, tape):
-        xq = _quantize(x, ctx, "pool", "act")
-        y, cache = K.pool_forward(self.spec.kind, xq, self.spec.window,
+        y, cache = K.pool_forward(self.spec.kind, x, self.spec.window,
                                   self.spec.stride)
         tape.caches.append(cache)
         return y
 
     def backward(self, dy, ctx, cache):
-        dyq = _quantize(dy, ctx, "pool", "err")
-        return K.pool_backward(self.spec.kind, dyq, cache)
+        return K.pool_backward(self.spec.kind, dy, cache)
 
 
 class _DropoutLayer(_Layer):
@@ -379,17 +368,15 @@ class _DropoutLayer(_Layer):
             return x
         if ctx.rng is None:
             raise ValueError("dropout in train mode needs a step rng")
-        xq = _quantize(x, ctx, "dropout", "act")
-        y, mask = K.dropout(xq, self.spec.p, ctx.rng.child(self.index))
+        y, mask = K.dropout(x, self.spec.p, ctx.rng.child(self.index))
         tape.caches.append(mask)
         return y
 
     def backward(self, dy, ctx, cache):
         if cache is None:
             return dy
-        dyq = _quantize(dy, ctx, "dropout", "err")
         scale = np.float32(1.0 / (1.0 - self.spec.p))
-        return Tensor(dyq.data * cache * scale)
+        return Tensor(dy.data * cache * scale)
 
 
 class _EltwiseAddLayer(_Layer):
@@ -405,15 +392,13 @@ class _EltwiseAddLayer(_Layer):
         skip = tape.outputs[self.spec.source]
         if skip.shape != x.shape:
             raise ShapeError("eltwise operands differ in shape")
-        xq = _quantize(x, ctx, "eltwise", "act")
-        sq = _quantize(skip, ctx, "eltwise", "act")
         tape.caches.append(None)
-        return Tensor(xq.data + sq.data)
+        return Tensor(x.data + skip.data)
 
     def backward(self, dy, ctx, cache):
         # The caller routes a copy of the returned gradient to the skip
         # source as well; both branches see the same quantized gradient.
-        return _quantize(dy, ctx, "eltwise", "err")
+        return dy
 
 
 class _LstmLayer(_Layer):
@@ -446,23 +431,19 @@ class _LstmLayer(_Layer):
         h = Tensor(np.zeros((n, hsz), np.float32))
         c = Tensor(np.zeros((n, hsz), np.float32))
         weights = self._weights()
-        # Quantization is elementwise, so one call on the whole sequence
-        # gives the same bits as one call per step.
-        xq = _quantize(x, ctx, "lstm", "act")
         steps = []
         for step in range(t):
-            xt = Tensor(np.ascontiguousarray(xq.data[:, step, :]), xq.tag)
+            xt = Tensor(np.ascontiguousarray(x.data[:, step, :]), x.tag)
             hq = _quantize(h, ctx, "lstm", "act")
             h, c, cache = K.lstm_cell_forward(xt, hq, c, weights, ctx.order)
             steps.append(cache)
         tape.caches.append((steps, x.shape))
         return h
 
-    def backward(self, dy, ctx, cache):
+    def backward(self, dh, ctx, cache):
         steps, x_shape = cache
         n, t, _ = x_shape
         hsz = self.spec.hidden_size
-        dh = _quantize(dy, ctx, "lstm", "err")
         dc = Tensor(np.zeros((n, hsz), np.float32))
         dx_seq = np.zeros(x_shape, np.float32)
         w_ih_ps, w_hh_ps = self.params
@@ -478,7 +459,7 @@ class _LstmLayer(_Layer):
 
 
 class _FlattenLayer(_Layer):
-    layer_class = "eltwise"  # policy-irrelevant; never quantizes
+    layer_class = "eltwise"  # keeps the tag: a quantized input passes as is
 
     def __init__(self, index, spec: Flatten, rng: RngStream):
         super().__init__(index)
@@ -547,8 +528,11 @@ class Network:
         ctx = _Ctx(self.policy, train, step_rng, stats, self.order)
         tape = Tape(train)
         out = x
+        if self.layers:
+            out = _quantize(x, ctx, self.layers[0].layer_class, "act")
         for layer in self.layers:
-            out = layer.forward(out, ctx, tape)
+            out = _quantize(layer.forward(out, ctx, tape), ctx,
+                            layer.layer_class, "act")
             tape.outputs.append(out)
         return out, tape
 
@@ -567,6 +551,7 @@ class Network:
             if i in pending:
                 grad = Tensor(grad.data + pending.pop(i))
             layer = self.layers[i]
+            grad = _quantize(grad, ctx, layer.layer_class, "err")
             grad = layer.backward(grad, ctx, tape.caches[i])
             if isinstance(layer, _EltwiseAddLayer):
                 src = layer.spec.source

@@ -281,6 +281,11 @@ LAYER_CLASSES = (
 
 @dataclass(frozen=True)
 class LayerClassRule:
+    """Per layer class: quantize its shadow weights (never the bias), its
+    output (for the first layer also the network input), and the error
+    gradient entering it.  An LSTM applies the last two flags also to the
+    hidden state it feeds back and to its gate gradients at each step."""
+
     quantize_weights: bool = True
     quantize_activations: bool = True
     quantize_error_grads: bool = True
@@ -288,8 +293,8 @@ class LayerClassRule:
 
 def _default_rules() -> dict[str, LayerClassRule]:
     rules = {name: LayerClassRule() for name in LAYER_CLASSES}
-    # Batchnorm keeps everything except its input activations in full
-    # precision (scale/shift are affine parameters, not GEMM weights).
+    # Batchnorm quantizes only its output: scale/shift are affine
+    # parameters, not GEMM weights, and its incoming error grad stays FP32.
     rules["batchnorm"] = LayerClassRule(
         quantize_weights=False, quantize_activations=True,
         quantize_error_grads=False)

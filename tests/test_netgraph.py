@@ -376,11 +376,47 @@ class TestQuantizationPlacement:
             Precision.BF16)
         assert np.array_equal(out.data, want.data)
 
-    def test_activations_quantized_between_layers(self):
-        net = build_network(mlp_specs(), QuantPolicy.bf16(), RngStream(19))
+    @pytest.mark.parametrize("specs, x_shape", [
+        (mlp_specs(), (4, 2)),
+        ([Conv2d(1, 2, 3, pad=1), BatchNorm(2), Activation(RELU),
+          EltwiseAdd(source=0), Pool(PoolKind.MAX, 2, 2), Dropout(0.5),
+          Flatten(), Dense(8, 2)], (4, 1, 4, 4)),
+    ], ids=["mlp", "every-layer-kind"])
+    def test_activations_quantized_between_layers(self, specs, x_shape):
+        net = build_network(specs, QuantPolicy.bf16(), RngStream(19))
         x = Tensor(np.random.default_rng(26).standard_normal(
+            x_shape).astype(np.float32))
+        _, tape = net.forward(x, train=True, step_rng=RngStream(1, 2))
+        assert len(tape.outputs) == len(specs)
+        for out in tape.outputs:
+            assert out.tag is Precision.BF16
+            requantized = quantize_tensor(out, Precision.BF16)
+            assert np.array_equal(out.data.view(np.uint32),
+                                  requantized.data.view(np.uint32))
+
+    def test_output_of_non_gemm_last_layer_quantized(self):
+        net = build_network([Dense(2, 4), Activation(ActivationKind.TANH)],
+                            QuantPolicy.bf16(), RngStream(19))
+        x = Tensor(np.random.default_rng(27).standard_normal(
             (4, 2)).astype(np.float32))
-        _, tape = net.forward(x, train=False)
-        dense_out = tape.outputs[0]
-        requantized = quantize_tensor(dense_out, Precision.BF16)
-        assert np.array_equal(dense_out.data, requantized.data)
+        out, _ = net.forward(x, train=False)
+        assert out.tag is Precision.BF16
+        requantized = quantize_tensor(out, Precision.BF16)
+        assert np.array_equal(out.data.view(np.uint32),
+                              requantized.data.view(np.uint32))
+
+    def test_error_grad_entering_batchnorm_not_quantized(self):
+        # Under the default rules the gradients entering both Dense
+        # layers are quantized (and counted); the one entering BatchNorm
+        # stays FP32 and is not.
+        n = 8
+        net = build_network([Dense(2, 4), BatchNorm(4), Dense(4, 2)],
+                            QuantPolicy.fp16(), RngStream(31))
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.standard_normal((n, 2)).astype(np.float32))
+        dy = Tensor(rng.standard_normal((n, 2)).astype(np.float32))
+        _, tape = net.forward(x, train=True)
+        stats = QuantStats()
+        net.zero_grads()
+        net.backward(tape, dy, stats=stats)
+        assert stats.nonzero == n * 2 + n * 4
