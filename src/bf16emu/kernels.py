@@ -14,6 +14,15 @@ adds the rows of a non-innermost axis one after another, elementwise,
 so the order is the same.  A single output element (m*n == 1) would
 make that axis the innermost loop, which NumPy sums pairwise, so it
 stays on the per-step loop.
+
+Convolution and pooling share one window gather and one scatter.
+``_windows`` is a strided view of NumPy's ``sliding_window_view``;
+``_im2col`` and pooling each copy it once into their own layout.
+``_scatter`` adds windows back into a +0 image one (u, v) offset at a
+time, so each pixel sees its contributions in that fixed order; conv's
+``_col2im`` and pooling's backward both end in it.  Pooling does not go
+through ``_im2col``/``_col2im`` themselves, so a trace that wraps those
+names times convolution alone.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import RngStream, ShapeError, Tensor
 
@@ -34,7 +44,6 @@ __all__ = [
     "PoolKind",
     "LstmWeights",
     "gemm",
-    "bias_add",
     "conv2d_forward",
     "conv2d_backward",
     "batchnorm_forward",
@@ -138,24 +147,6 @@ def gemm(a: Tensor, b: Tensor,
     return Tensor(_gemm(a.data, b.data, order))
 
 
-def bias_add(c: Tensor, bias: Tensor) -> Tensor:
-    """FP32 broadcast add of a bias vector, before any output quantization.
-
-    2-D inputs take the bias along the last axis; 4-D (N,C,H,W) inputs
-    take it along the channel axis.
-    """
-    b = bias.data.reshape(-1)
-    if c.data.ndim == 4:
-        if b.shape[0] != c.shape[1]:
-            raise ShapeError(
-                f"bias length {b.shape[0]} != channels {c.shape[1]}")
-        return Tensor(c.data + b[None, :, None, None])
-    if b.shape[0] != c.shape[-1]:
-        raise ShapeError(
-            f"bias length {b.shape[0]} != last extent {c.shape[-1]}")
-    return Tensor(c.data + b)
-
-
 # ---------------------------------------------------------------------------
 # convolution (im2col based)
 # ---------------------------------------------------------------------------
@@ -177,35 +168,44 @@ class ConvSpec:
         return out
 
 
-def _im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    n, c, h, w = x.shape
-    ho = spec.out_extent(h, spec.kh)
-    wo = spec.out_extent(w, spec.kw)
-    xp = np.pad(x, ((0, 0), (0, 0), (spec.pad, spec.pad),
-                    (spec.pad, spec.pad)))
-    cols = np.empty((n, c, spec.kh, spec.kw, ho, wo), np.float32)
-    s = spec.stride
+def _windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Strided view (N, C, Ho, Wo, kh, kw) of the windows of padded x."""
+    ho = spec.out_extent(x.shape[2], spec.kh)
+    wo = spec.out_extent(x.shape[3], spec.kw)
+    p, s = spec.pad, spec.stride
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    return sliding_window_view(xp, (spec.kh, spec.kw), axis=(2, 3))[
+        :, :, :ho * s:s, :wo * s:s]
+
+
+def _scatter(wins: np.ndarray, x_shape, spec: ConvSpec) -> np.ndarray:
+    """Adjoint of _windows: adds wins (N, C, Ho, Wo, kh, kw) into a +0
+    image one (u, v) offset at a time, then drops the padding."""
+    n, c, h, w = x_shape
+    ho, wo = wins.shape[2:4]
+    p, s = spec.pad, spec.stride
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), np.float32)
     for u in range(spec.kh):
         for v in range(spec.kw):
-            cols[:, :, u, v] = xp[:, :, u:u + ho * s:s, v:v + wo * s:s]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * ho * wo,
-                                                    c * spec.kh * spec.kw)
+            xp[:, :, u:u + ho * s:s, v:v + wo * s:s] += wins[..., u, v]
+    if p:
+        return xp[:, :, p:p + h, p:p + w].copy()
+    return xp
+
+
+def _im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    wins = _windows(x, spec)
+    n, c, ho, wo, kh, kw = wins.shape
+    return wins.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
 
 
 def _col2im(cols: np.ndarray, x_shape, spec: ConvSpec) -> np.ndarray:
     n, c, h, w = x_shape
     ho = spec.out_extent(h, spec.kh)
     wo = spec.out_extent(w, spec.kw)
-    s = spec.stride
-    xp = np.zeros((n, c, h + 2 * spec.pad, w + 2 * spec.pad), np.float32)
-    cols6 = cols.reshape(n, ho, wo, c, spec.kh, spec.kw).transpose(
-        0, 3, 4, 5, 1, 2)
-    for u in range(spec.kh):
-        for v in range(spec.kw):
-            xp[:, :, u:u + ho * s:s, v:v + wo * s:s] += cols6[:, :, u, v]
-    if spec.pad:
-        return xp[:, :, spec.pad:spec.pad + h, spec.pad:spec.pad + w].copy()
-    return xp
+    wins = cols.reshape(n, ho, wo, c, spec.kh, spec.kw).transpose(
+        0, 3, 1, 2, 4, 5)
+    return _scatter(wins, x_shape, spec)
 
 
 def _check_conv(x: Tensor, w: Tensor, spec: ConvSpec):
@@ -263,8 +263,6 @@ class BatchNormState:
     gamma: np.ndarray
     beta: np.ndarray
     eps: float = 1e-5
-    saved_mean: np.ndarray | None = None
-    saved_var: np.ndarray | None = None
 
     def __post_init__(self):
         self.gamma = np.ascontiguousarray(self.gamma, np.float32)
@@ -288,8 +286,6 @@ def batchnorm_forward(x: Tensor, state: BatchNormState):
         raise ShapeError("batchnorm needs at least 2 samples per channel")
     mean = x.data.mean(axis=axes, dtype=np.float32)
     var = x.data.var(axis=axes, dtype=np.float32)
-    state.saved_mean = mean
-    state.saved_var = var
     inv_std = (1.0 / np.sqrt(var + np.float32(state.eps))).astype(np.float32)
     xhat = (x.data - expand(mean)) * expand(inv_std)
     y = xhat * expand(state.gamma) + expand(state.beta)
@@ -325,6 +321,10 @@ class ActivationKind(Enum):
     TANH = "tanh"
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    return (1.0 / (1.0 + np.exp(-v.astype(np.float32)))).astype(np.float32)
+
+
 def activation_forward(kind: ActivationKind, x: Tensor,
                        alpha: float = 0.01) -> Tensor:
     v = x.data
@@ -333,7 +333,7 @@ def activation_forward(kind: ActivationKind, x: Tensor,
     if kind is ActivationKind.LEAKY_RELU:
         return Tensor(np.where(v > 0, v, np.float32(alpha) * v))
     if kind is ActivationKind.SIGMOID:
-        return Tensor((1.0 / (1.0 + np.exp(-v.astype(np.float32)))).astype(np.float32))
+        return Tensor(_sigmoid(v))
     if kind is ActivationKind.TANH:
         return Tensor(np.tanh(v).astype(np.float32))
     raise ValueError(f"unknown activation {kind}")
@@ -350,7 +350,7 @@ def activation_backward(kind: ActivationKind, x: Tensor, dy: Tensor,
     if kind is ActivationKind.LEAKY_RELU:
         return Tensor(np.where(v > 0, g, np.float32(alpha) * g))
     if kind is ActivationKind.SIGMOID:
-        s = activation_forward(kind, x).data
+        s = _sigmoid(v)
         return Tensor(g * s * (np.float32(1) - s))
     if kind is ActivationKind.TANH:
         t = np.tanh(v).astype(np.float32)
@@ -368,56 +368,40 @@ class PoolKind(Enum):
     AVG = "avg"
 
 
-def _pool_windows(x: np.ndarray, window: int, stride: int):
-    n, c, h, w = x.shape
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
-    if ho < 1 or wo < 1:
-        raise ShapeError("pool window larger than input")
-    wins = np.empty((n, c, ho, wo, window * window), np.float32)
-    for u in range(window):
-        for v in range(window):
-            wins[..., u * window + v] = \
-                x[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride]
-    return wins, ho, wo
-
-
 def pool_forward(kind: PoolKind, x: Tensor, window: int, stride: int):
     """Returns (y, cache); max pooling records first row-major winner."""
-    wins, ho, wo = _pool_windows(x.data, window, stride)
+    spec = ConvSpec(window, window, stride)
+    wins = _windows(x.data, spec)
+    wins = wins.reshape(wins.shape[:4] + (window * window,))
     if kind is PoolKind.MAX:
         arg = np.argmax(wins, axis=-1)
         y = np.take_along_axis(wins, arg[..., None], axis=-1)[..., 0]
-        cache = (kind, x.shape, window, stride, arg)
     else:
+        arg = None
         y = wins.mean(axis=-1, dtype=np.float32)
-        cache = (kind, x.shape, window, stride, None)
-    return Tensor(y.astype(np.float32)), cache
+    return Tensor(y), (kind, x.shape, spec, arg)
 
 
 def pool_backward(kind: PoolKind, dy: Tensor, cache) -> Tensor:
-    ckind, x_shape, window, stride, arg = cache
+    """Scatters dy back over the windows: to each max window's winner (the
+    other window positions carry +0), or as dy / window**2 to all."""
+    ckind, x_shape, spec, arg = cache
     if kind is not ckind:
         raise ShapeError("pool kind does not match cache")
     n, c, h, w = x_shape
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
+    ho = spec.out_extent(h, spec.kh)
+    wo = spec.out_extent(w, spec.kw)
     if dy.shape != (n, c, ho, wo):
         raise ShapeError(f"pool dy shape {dy.shape} != {(n, c, ho, wo)}")
-    dx = np.zeros(x_shape, np.float32)
+    k = spec.kh * spec.kw
     if kind is PoolKind.MAX:
-        for p in range(window * window):
-            u, v = divmod(p, window)
-            contrib = np.where(arg == p, dy.data, np.float32(0))
-            dx[:, :, u:u + ho * stride:stride,
-               v:v + wo * stride:stride] += contrib
+        wins = np.zeros((n, c, ho, wo, k), np.float32)
+        np.put_along_axis(wins, arg[..., None], dy.data[..., None], axis=-1)
     else:
-        share = (dy.data / np.float32(window * window)).astype(np.float32)
-        for p in range(window * window):
-            u, v = divmod(p, window)
-            dx[:, :, u:u + ho * stride:stride,
-               v:v + wo * stride:stride] += share
-    return Tensor(dx)
+        share = (dy.data / np.float32(k)).astype(np.float32)
+        wins = np.broadcast_to(share[..., None], (n, c, ho, wo, k))
+    return Tensor(_scatter(wins.reshape(n, c, ho, wo, spec.kh, spec.kw),
+                           x_shape, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +473,6 @@ class LstmWeights:
     w_ih: Tensor  # (4H, I)
     w_hh: Tensor  # (4H, H)
     bias: Tensor  # (4H,)
-
-
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    return (1.0 / (1.0 + np.exp(-v.astype(np.float32)))).astype(np.float32)
 
 
 def lstm_cell_forward(x: Tensor, h_prev: Tensor, c_prev: Tensor,

@@ -279,7 +279,7 @@ class _ConvLayer(_Layer):
         ps = self.params[0]
         y = K.conv2d_forward(x, ps.shadow, self.conv, ctx.order)
         if ps.bias is not None:
-            y = K.bias_add(y, ps.bias)
+            y = Tensor(y.data + ps.bias.data[:, None, None])
         tape.caches.append(x)
         return y
 

@@ -93,10 +93,6 @@ class FormatSpec:
         if row not in _ALLOWED_ROWS:
             raise ValueError(f"unsupported format layout {row}")
 
-    @property
-    def total_bits(self) -> int:
-        return 1 + self.exponent_bits + self.mantissa_bits
-
 
 FP32_SPEC = FormatSpec("fp32", 8, 23, 127)
 FP16_SPEC = FormatSpec("fp16", 5, 10, 15)

@@ -44,7 +44,6 @@ __all__ = [
     "init_tensor",
     "dump_tensor",
     "load_tensor",
-    "elementwise_binary",
 ]
 
 
@@ -246,27 +245,6 @@ def load_tensor(path) -> Tensor:
             f"{path}: payload has {len(raw) - off} bytes, expected {4 * count}")
     data = np.frombuffer(raw, dtype="<f4", offset=off).reshape(shape).copy()
     return Tensor(data, _TAG_FROM_CODE[tag_code])
-
-
-# ---------------------------------------------------------------------------
-# elementwise arithmetic (always FP32)
-# ---------------------------------------------------------------------------
-
-_BINARY_OPS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-}
-
-
-def elementwise_binary(op: str, a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise shapes differ: {a.shape} vs {b.shape}")
-    try:
-        fn = _BINARY_OPS[op.lower()]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    return Tensor(fn(a.data, b.data, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------

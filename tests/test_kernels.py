@@ -15,7 +15,6 @@ from bf16emu.kernels import (
     activation_forward,
     batchnorm_backward,
     batchnorm_forward,
-    bias_add,
     binary_log_loss,
     conv2d_backward,
     conv2d_forward,
@@ -90,6 +89,82 @@ def conv_oracle(x, w, spec):
                                         x[b, ci, r, s] * w[fo, ci, u, v]))
                     out[b, fo, i, j] = acc
     return out
+
+
+def conv_dx_oracle(x_shape, w, dy, spec):
+    """dx of a convolution: each input pixel adds the contributions of the
+    windows covering it in (u, v) order, each an ordered sum over the
+    output channels, into +0."""
+    n, c, h, wd = x_shape
+    f, _, kh, kw = w.shape
+    _, _, ho, wo = dy.shape
+    s, p = spec.stride, spec.pad
+    dx = np.zeros(x_shape, np.float32)
+    for b in range(n):
+        for ci in range(c):
+            for r in range(h):
+                for q in range(wd):
+                    acc = np.float32(0.0)
+                    for u in range(kh):
+                        for v in range(kw):
+                            i, ri = divmod(r + p - u, s)
+                            j, rj = divmod(q + p - v, s)
+                            if ri or rj or not (0 <= i < ho and 0 <= j < wo):
+                                continue
+                            part = np.float32(0.0)
+                            for fo in range(f):
+                                part = np.float32(part + np.float32(
+                                    dy[b, fo, i, j] * w[fo, ci, u, v]))
+                            acc = np.float32(acc + part)
+                    dx[b, ci, r, q] = acc
+    return dx
+
+
+def pool_oracle(kind, x, window, stride, dy):
+    """(y, dx) of pooling by scalar loops.  Max takes the first row-major
+    winner; avg sums its window in row-major order (NumPy reduces fewer
+    than 8 addends in order) and divides by window**2.  Each input pixel
+    adds its windows' shares in (u, v) order into +0."""
+    n, c, h, w = x.shape
+    ho = (h - window) // stride + 1
+    wo = (w - window) // stride + 1
+    k = np.float32(window * window)
+    y = np.zeros((n, c, ho, wo), np.float32)
+    share = np.zeros((n, c, ho, wo, window, window), np.float32)
+    for b in range(n):
+        for ch in range(c):
+            for i in range(ho):
+                for j in range(wo):
+                    vals = [x[b, ch, i * stride + u, j * stride + v]
+                            for u in range(window) for v in range(window)]
+                    if kind is PoolKind.MAX:
+                        best = 0
+                        for t in range(1, len(vals)):
+                            if vals[t] > vals[best]:
+                                best = t
+                        y[b, ch, i, j] = vals[best]
+                        share[b, ch, i, j].flat[best] = dy[b, ch, i, j]
+                    else:
+                        acc = vals[0]
+                        for val in vals[1:]:
+                            acc = np.float32(acc + val)
+                        y[b, ch, i, j] = np.float32(acc / k)
+                        share[b, ch, i, j] = np.float32(dy[b, ch, i, j] / k)
+    dx = np.zeros(x.shape, np.float32)
+    for b in range(n):
+        for ch in range(c):
+            for r in range(h):
+                for q in range(w):
+                    acc = np.float32(0.0)
+                    for u in range(window):
+                        for v in range(window):
+                            i, ri = divmod(r - u, stride)
+                            j, rj = divmod(q - v, stride)
+                            if ri or rj or not (0 <= i < ho and 0 <= j < wo):
+                                continue
+                            acc = np.float32(acc + share[b, ch, i, j, u, v])
+                    dx[b, ch, r, q] = acc
+    return y, dx
 
 
 def fd_grad(loss_fn, x, h_rel=1e-3):
@@ -271,37 +346,6 @@ class TestGemm:
         assert np.array_equal(p32[ok], p64[ok])
 
 
-class TestBiasAdd:
-    def test_zeros_plus_bias(self):
-        c = Tensor(np.zeros((2, 3), np.float32))
-        bias = Tensor(np.float32([1.0, 2.0, 3.0]))
-        out = bias_add(c, bias)
-        assert np.array_equal(out.data, np.tile(bias.data, (2, 1)))
-
-    def test_bias_zero_identity(self):
-        c = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
-        out = bias_add(c, Tensor(np.zeros(3, np.float32)))
-        assert np.array_equal(out.data, c.data)
-
-    def test_fp32_precision_retained(self):
-        # A bias below bf16 precision still shifts the FP32 sum.
-        c = quantize_tensor(Tensor(np.float32([[1.0]])), Precision.BF16)
-        out = bias_add(c, Tensor(np.float32([1e-5])))
-        assert out.data[0, 0] == np.float32(1.0) + np.float32(1e-5)
-        assert out.data[0, 0] != 1.0
-
-    def test_channel_axis_for_4d(self):
-        c = Tensor(np.zeros((1, 2, 2, 2), np.float32))
-        out = bias_add(c, Tensor(np.float32([5.0, 7.0])))
-        assert np.all(out.data[0, 0] == 5.0)
-        assert np.all(out.data[0, 1] == 7.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            bias_add(Tensor(np.zeros((2, 3), np.float32)),
-                     Tensor(np.zeros(4, np.float32)))
-
-
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
@@ -350,6 +394,19 @@ class TestConv:
         dx, dw = conv2d_backward(x, w, dy, spec)
         assert np.array_equal(dx.data, 1.5 * dy.data)
         assert dw.data[0, 0, 0, 0] == 2.0 * 1.0 + 5.0 * 2.0
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_backward_dx_matches_scalar_oracle(self, stride):
+        rng = np.random.default_rng(40 + stride)
+        x = rand_bf16(rng, (2, 2, 5, 5))
+        w = rand_bf16(rng, (3, 2, 3, 3))
+        dy = rand_bf16(rng, (2, 3, 5 if stride == 1 else 3,
+                             5 if stride == 1 else 3))
+        spec = ConvSpec(3, 3, stride=stride, pad=1, in_channels=2,
+                        out_channels=3)
+        dx, _ = conv2d_backward(x, w, dy, spec)
+        want = conv_dx_oracle(x.shape, w.data, dy.data, spec)
+        assert np.array_equal(dx.data.view(np.uint32), want.view(np.uint32))
 
     def test_backward_vs_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -561,6 +618,36 @@ class TestPool:
         _, cache = pool_forward(kind, Tensor(x), 2, 2)
         dx = pool_backward(kind, Tensor(dy), cache)
         assert_grads_close(dx.data, fd_grad(loss, x.copy(), h_rel=1e-4))
+
+    @pytest.mark.parametrize("kind, window, stride", [
+        (PoolKind.MAX, 2, 2), (PoolKind.MAX, 2, 1), (PoolKind.MAX, 3, 1),
+        (PoolKind.MAX, 3, 2), (PoolKind.MAX, 2, 3), (PoolKind.AVG, 2, 2),
+        (PoolKind.AVG, 2, 1), (PoolKind.AVG, 2, 3),
+    ])
+    def test_matches_scalar_oracle(self, kind, window, stride):
+        rng = np.random.default_rng(window * 10 + stride)
+        if kind is PoolKind.MAX:
+            # Few distinct values, so windows hold tied maxima; zeros of
+            # both signs tie too.
+            x = rng.integers(-3, 4, (2, 2, 7, 8)).astype(np.float32)
+            x[x == 0] = rng.choice(np.float32([0.0, -0.0]),
+                                   int((x == 0).sum()))
+        else:
+            # Spread magnitudes, so window sums round and their order
+            # shows in the bits.
+            x = (rng.standard_normal((2, 2, 7, 8))
+                 * 2.0 ** rng.integers(-12, 12, (2, 2, 7, 8))
+                 ).astype(np.float32)
+        ho = (7 - window) // stride + 1
+        wo = (8 - window) // stride + 1
+        dy = rng.standard_normal((2, 2, ho, wo)).astype(np.float32)
+        dy[rng.random(dy.shape) < 0.25] = -0.0
+        y, cache = pool_forward(kind, Tensor(x), window, stride)
+        dx = pool_backward(kind, Tensor(dy), cache)
+        want_y, want_dx = pool_oracle(kind, x, window, stride, dy)
+        assert np.array_equal(y.data.view(np.uint32), want_y.view(np.uint32))
+        assert np.array_equal(dx.data.view(np.uint32),
+                              want_dx.view(np.uint32))
 
     def test_window_too_large(self):
         with pytest.raises(ShapeError):

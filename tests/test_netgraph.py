@@ -365,6 +365,10 @@ class TestQuantizationPlacement:
     def test_dense_output_quantized_after_fp32_bias(self):
         net = build_network([Dense(2, 2)], QuantPolicy.bf16(), RngStream(19))
         ps = net.layers[0].params[0]
+        # Identity weights: off the diagonal the output is Q(bias) != 0,
+        # on it Q(1 + bias) == 1, so a dropped bias or one added after Q
+        # both show.
+        ps.master.data[...] = np.eye(2, dtype=np.float32)
         ps.bias.data[...] = np.float32(1e-5)
         net.refresh_shadows()
         x = Tensor(np.eye(2, dtype=np.float32))
@@ -375,6 +379,24 @@ class TestQuantizationPlacement:
             Tensor(x.data @ ps.shadow.data.T + np.float32(1e-5)),
             Precision.BF16)
         assert np.array_equal(out.data, want.data)
+
+    def test_conv_output_quantized_after_fp32_channel_bias(self):
+        net = build_network([Conv2d(1, 2, 1)], QuantPolicy.bf16(),
+                            RngStream(19))
+        ps = net.layers[0].params[0]
+        ps.master.data[...] = np.float32(1.0)
+        ps.bias.data[...] = np.float32([1e-5, 2e-5])
+        net.refresh_shadows()
+        out, _ = net.forward(Tensor(np.float32([[[[0.0, 1.0]]]])),
+                             train=False)
+        # Channel f reads Q(bias[f]) where the input is 0, so each channel
+        # gets its own bias; where the input is 1 it reads Q(1 + bias[f]),
+        # which is 1.0 only if the bias was added in FP32 before Q.
+        for f, b in enumerate(np.float32([1e-5, 2e-5])):
+            q = quantize_tensor(Tensor(np.float32([b])), Precision.BF16)
+            assert out.data[0, f, 0, 0] == q.data[0] != 0.0
+            assert out.data[0, f, 0, 1] == np.float32(1.0)
+        assert out.data[0, 0, 0, 0] != out.data[0, 1, 0, 0]
 
     @pytest.mark.parametrize("specs, x_shape", [
         (mlp_specs(), (4, 2)),

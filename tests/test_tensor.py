@@ -17,7 +17,6 @@ from bf16emu.tensor import (
     XavierUniform,
     Zeros,
     dump_tensor,
-    elementwise_binary,
     init_tensor,
     load_tensor,
     quantize_tensor,
@@ -173,35 +172,6 @@ class TestDumpLoad:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(TruncatedPayloadError):
             load_tensor(path)
-
-
-class TestElementwise:
-    def test_ops(self):
-        a = Tensor(np.float32([1.0, 2.0, 3.0]))
-        b = Tensor(np.float32([4.0, 0.5, -1.0]))
-        assert np.array_equal(elementwise_binary("add", a, b).data,
-                              np.float32([5.0, 2.5, 2.0]))
-        assert np.array_equal(elementwise_binary("sub", a, b).data,
-                              np.float32([-3.0, 1.5, 4.0]))
-        assert np.array_equal(elementwise_binary("mul", a, b).data,
-                              np.float32([4.0, 1.0, -3.0]))
-
-    def test_output_is_fp32_even_for_tagged_inputs(self):
-        a = quantize_tensor(Tensor(np.float32([1.0078125])), Precision.BF16)
-        out = elementwise_binary("mul", a, a)
-        assert out.tag is Precision.FP32
-        # FP32 product of two bf16 values; not representable in bf16.
-        assert out.data[0] == np.float32(1.0078125) * np.float32(1.0078125)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            elementwise_binary("add", Tensor(np.zeros(3, np.float32)),
-                               Tensor(np.zeros(4, np.float32)))
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            elementwise_binary("div", Tensor(np.zeros(1, np.float32)),
-                               Tensor(np.zeros(1, np.float32)))
 
 
 class TestQuantPolicy:

@@ -1,0 +1,53 @@
+"""The benchmark's tracer must still find every entry point it wraps.
+
+``benchmarks/tracer.py`` looks kernels and helpers up by name, so renaming
+one breaks only traced benchmark runs; installing the tracer here makes
+that fail the default test run instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from bf16emu import kernels, tensor
+from bf16emu.kernels import ConvSpec, PoolKind
+from bf16emu.tensor import Tensor
+
+TRACER_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+HOOKED = ("_gemm", "_im2col", "_col2im", "pool_forward", "pool_backward",
+          "lstm_cell_forward", "lstm_cell_backward")
+
+
+def test_detail_tracer_installs_and_uninstalls():
+    originals = {name: getattr(kernels, name) for name in HOOKED}
+    quantize = tensor.quantize_tensor
+    tracer = load_tracer().Tracer(detail=True)
+    tracer.install()
+    try:
+        for name in HOOKED:
+            assert getattr(kernels, name).__wrapped__ is originals[name]
+        assert tensor.quantize_tensor.__wrapped__ is quantize
+        x = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
+        _, cache = kernels.pool_forward(PoolKind.MAX, x, 2, 2)
+        kernels.pool_backward(PoolKind.MAX, Tensor(np.ones((1, 1, 2, 2))),
+                              cache)
+        kernels._im2col(x.data, ConvSpec(2, 2))
+    finally:
+        tracer.uninstall()
+    for name in HOOKED:
+        assert getattr(kernels, name) is originals[name]
+    assert tensor.quantize_tensor is quantize
+    # Pooling shares the window code of _im2col/_col2im, not those names,
+    # so its span stays a leaf and the two figures do not overlap.
+    assert {key[:2] for key in tracer.agg} == {
+        ("kernels.pool", "kernels.pool"), ("kernels.im2col", "kernels.im2col")}
