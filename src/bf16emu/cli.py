@@ -89,7 +89,7 @@ def _cmd_compare(args) -> int:
     except (SchemaError, OSError) as exc:
         print(f"bf16emu: {exc}", file=sys.stderr)
         return 1
-    print((args.out + "/report.txt") if args.out else "")
+    print(args.out + "/report.txt")
     for arm in summary.arms:
         print(f"{arm.name}: final loss {arm.final_loss:.6g}, "
               f"eval metric {arm.final_metric:.6g}")

@@ -21,7 +21,6 @@ from . import netgraph as ng
 from .datasets import Dataset, TASKS, gen_dataset
 from .kernels import (
     ActivationKind,
-    GemmAccumOrder,
     PoolKind,
     binary_log_loss,
     softmax_cross_entropy,
@@ -91,7 +90,8 @@ class ExperimentConfig:
     adam_eps: float = 1e-8
     loss_prescale: float = 1.0
     max_train: int = 0                   # 0 = use the whole training split
-    accum_order: str = "sequential"      # sequential | paired
+    # sequential only; kept for the golden digest key
+    accum_order: str = "sequential"
     out: str = "runs/run"
     # {layer_class: {flag: bool}} overrides applied to the default policy.
     policy_overrides: dict = field(default_factory=dict)
@@ -105,8 +105,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown rounding {self.rounding!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.accum_order not in ("sequential", "paired"):
-            raise ConfigError(f"unknown accum_order {self.accum_order!r}")
+        if self.accum_order != "sequential":
+            raise ConfigError(
+                f"accum_order {self.accum_order!r} is not supported: the "
+                "GEMM adds in one order, 'sequential' ('paired' was removed)")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.loss_scale <= 0 or not math.log2(self.loss_scale).is_integer():
@@ -131,11 +133,6 @@ class ExperimentConfig:
         for cls, flags in self.policy_overrides.items():
             policy = policy.with_rule(cls, **flags)
         return policy
-
-    def order(self) -> GemmAccumOrder:
-        return (GemmAccumOrder.SEQUENTIAL_K
-                if self.accum_order == "sequential"
-                else GemmAccumOrder.PAIRED_K)
 
 
 _BOOL_FIELDS = {"nesterov"}
@@ -378,8 +375,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         tx, ty = tx[:cfg.max_train], ty[:cfg.max_train]
 
     rng = RngStream(cfg.seed, 1)
-    net = build_network(_network_specs(cfg.task), cfg.policy(), rng.child(0),
-                        cfg.order())
+    net = build_network(_network_specs(cfg.task), cfg.policy(), rng.child(0))
     opt = _make_optimizer(cfg)
     scaler = LossScaler(cfg.loss_scale)
     prescale = np.float32(cfg.loss_prescale)

@@ -5,15 +5,17 @@ representable in a 16-bit format) and accumulates in FP32.  Quantization
 happens at operator boundaries, decided by the caller; kernels know
 nothing about the policy and trust the tags they are given.
 
-Reduction order is explicit (`GemmAccumOrder`) so results are
-bit-reproducible.  The GEMM never calls BLAS, whose blocked sums take
-another order.  It adds one k step at a time into an FP32 accumulator,
-either as one NumPy call per step or, for small outputs, as one
-``np.add.reduce`` over the leading axis of a chunk of products: NumPy
-adds the rows of a non-innermost axis one after another, elementwise,
-so the order is the same.  A single output element (m*n == 1) would
-make that axis the innermost loop, which NumPy sums pairwise, so it
-stays on the per-step loop.
+Reduction order is fixed so results are bit-reproducible.  The GEMM
+never calls BLAS, whose blocked sums take another order.  It adds one k
+step at a time, in increasing k, into an FP32 accumulator, either as
+one NumPy call per step or, for small outputs, as one ``np.add.reduce``
+over the leading axis of a chunk of products: NumPy adds the rows of a
+non-innermost axis one after another, elementwise, so the order is the
+same.  A single output element (m*n == 1) would make that axis the
+innermost loop, which NumPy sums pairwise, so it stays on the per-step
+loop.  Without subnormals, x86's ``VDPBF16PS`` gives the same bits as
+this order run over k with each adjacent pair of steps swapped
+(``tests/test_hardware.py``).
 
 Convolution and pooling share one window gather and one scatter.
 ``_windows`` is a strided view of NumPy's ``sliding_window_view``;
@@ -37,7 +39,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import RngStream, ShapeError, Tensor
 
 __all__ = [
-    "GemmAccumOrder",
     "ConvSpec",
     "BatchNormState",
     "ActivationKind",
@@ -60,16 +61,8 @@ __all__ = [
 ]
 
 
-class GemmAccumOrder(Enum):
-    # Single ordered loop over k.
-    SEQUENTIAL_K = "sequential"
-    # Adjacent product pairs are summed before touching the accumulator,
-    # mimicking a 2-wide dot-product unit with FP32 accumulation.
-    PAIRED_K = "paired"
-
-
 # Shapes with 2 <= m*n <= _CHUNKED_MAX_MN and k > 1 take the chunked path
-# of _gemm; _CHUNK_ELEMS bounds its buffer, (1 + kc) * m * n elements.
+# of _gemm; _CHUNK_ELEMS bounds the kc * m * n products of one chunk.
 # The switch point is measured: at m*n = 16384, the LSTM hidden projection
 # (128, 32, 128) took 0.83 ms chunked against 0.73 ms on the loop in one
 # measurement and 0.58 against 0.61 ms in another; from 32768 up the loop
@@ -78,73 +71,51 @@ _CHUNKED_MAX_MN = 8192
 _CHUNK_ELEMS = 1 << 18
 
 
-def _gemm(a: np.ndarray, b: np.ndarray,
-          order: GemmAccumOrder = GemmAccumOrder.SEQUENTIAL_K) -> np.ndarray:
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"gemm shapes incompatible: {a.shape} x {b.shape}")
     m, k = a.shape
     n = b.shape[1]
     acc = np.zeros((m, n), np.float32)
     if 2 <= m * n <= _CHUNKED_MAX_MN and k > 1:
-        _gemm_chunked(a, b, order, acc)
+        _gemm_chunked(a, b, acc)
         return acc
     tmp = np.empty((m, n), np.float32)
-    if order is GemmAccumOrder.SEQUENTIAL_K:
-        for j in range(k):
-            np.multiply(a[:, j, None], b[j, None, :], out=tmp)
-            acc += tmp
-    else:
-        tmp2 = np.empty((m, n), np.float32)
-        for j in range(0, k - 1, 2):
-            np.multiply(a[:, j, None], b[j, None, :], out=tmp)
-            np.multiply(a[:, j + 1, None], b[j + 1, None, :], out=tmp2)
-            tmp += tmp2
-            acc += tmp
-        if k % 2:
-            np.multiply(a[:, k - 1, None], b[k - 1, None, :], out=tmp)
-            acc += tmp
+    for j in range(k):
+        np.multiply(a[:, j, None], b[j, None, :], out=tmp)
+        acc += tmp
     return acc
 
 
-def _gemm_chunked(a: np.ndarray, b: np.ndarray, order: GemmAccumOrder,
-                  acc: np.ndarray) -> None:
+def _gemm_chunked(a: np.ndarray, b: np.ndarray, acc: np.ndarray) -> None:
     """The loop of _gemm, one NumPy reduction per chunk of k steps.
 
-    Row 0 of ``buf`` holds the running sum and rows 1.. the addends of
-    the chunk (products, or pair sums under PAIRED_K).  Reducing the
-    leading axis adds them to row 0 one row at a time, elementwise over
-    the contiguous m*n inner loop, so every output element sees the same
-    FP32 additions in the same order as in the loop.  That holds only
-    while the reduced axis is not NumPy's inner loop: with m*n == 1 it
-    is, and NumPy then sums it pairwise, as row 0 plus the pairwise sum
-    of the rest, which changed the bits for every such shape tried with
-    k >= 7.  Those shapes, k == 1 and large outputs stay on the loop.
+    Row 0 of ``buf`` holds the running sum and rows 1.. the products of
+    the chunk.  Reducing the leading axis adds them to row 0 one row at a
+    time, elementwise over the contiguous m*n inner loop, so every output
+    element sees the same FP32 additions in the same order as in the
+    loop.  That holds only while the reduced axis is not NumPy's inner
+    loop: with m*n == 1 it is, and NumPy then sums it pairwise, as row 0
+    plus the pairwise sum of the rest, which changed the bits for every
+    such shape tried with k >= 7.  Those shapes, k == 1 and large
+    outputs stay on the loop.
     """
     m, k = a.shape
     n = b.shape[1]
-    paired = order is GemmAccumOrder.PAIRED_K
-    steps = k - k % 2 if paired else k
-    # m*n <= _CHUNKED_MAX_MN keeps the even chunk length at 32 or more.
-    kc = min((_CHUNK_ELEMS // (m * n)) & ~1, steps)
-    buf = np.empty((1 + (kc // 2 if paired else kc), m, n), np.float32)
-    prod = np.empty((kc, m, n), np.float32) if paired else buf[1:]
-    for j in range(0, steps, kc):
-        c = min(kc, steps - j)
+    # m*n <= _CHUNKED_MAX_MN keeps the chunk length at 32 or more.
+    kc = min(_CHUNK_ELEMS // (m * n), k)
+    buf = np.empty((1 + kc, m, n), np.float32)
+    for j in range(0, k, kc):
+        c = min(kc, k - j)
         np.multiply(a[:, j:j + c].T[:, :, None], b[j:j + c, None, :],
-                    out=prod[:c])
-        if paired:
-            c //= 2
-            np.add(prod[0:2 * c:2], prod[1:2 * c:2], out=buf[1:1 + c])
+                    out=buf[1:1 + c])
         buf[0] = acc
         np.add.reduce(buf[:1 + c], axis=0, out=acc)
-    if steps < k:
-        acc += a[:, k - 1, None] * b[k - 1, None, :]
 
 
-def gemm(a: Tensor, b: Tensor,
-         order: GemmAccumOrder = GemmAccumOrder.SEQUENTIAL_K) -> Tensor:
+def gemm(a: Tensor, b: Tensor) -> Tensor:
     """C[m,n] = ordered FP32 sum over k of a[m,k] * b[k,n]; output FP32."""
-    return Tensor(_gemm(a.data, b.data, order))
+    return Tensor(_gemm(a.data, b.data))
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +190,7 @@ def _check_conv(x: Tensor, w: Tensor, spec: ConvSpec):
                          f"{x.shape} / {w.shape}")
 
 
-def conv2d_forward(x: Tensor, w: Tensor, spec: ConvSpec,
-                   order: GemmAccumOrder = GemmAccumOrder.SEQUENTIAL_K) -> Tensor:
+def conv2d_forward(x: Tensor, w: Tensor, spec: ConvSpec) -> Tensor:
     """NCHW convolution as im2col followed by gemm (bit-exactly)."""
     _check_conv(x, w, spec)
     n, _, h, wd = x.shape
@@ -228,13 +198,12 @@ def conv2d_forward(x: Tensor, w: Tensor, spec: ConvSpec,
     wo = spec.out_extent(wd, spec.kw)
     cols = _im2col(x.data, spec)
     wmat = w.data.reshape(spec.out_channels, -1)
-    out = _gemm(cols, wmat.T, order)
+    out = _gemm(cols, wmat.T)
     return Tensor(out.reshape(n, ho, wo, spec.out_channels)
                   .transpose(0, 3, 1, 2).copy())
 
 
-def conv2d_backward(x: Tensor, w: Tensor, dy: Tensor, spec: ConvSpec,
-                    order: GemmAccumOrder = GemmAccumOrder.SEQUENTIAL_K):
+def conv2d_backward(x: Tensor, w: Tensor, dy: Tensor, spec: ConvSpec):
     """Returns (dx, dw), both FP32."""
     _check_conv(x, w, spec)
     n, _, h, wd = x.shape
@@ -247,9 +216,9 @@ def conv2d_backward(x: Tensor, w: Tensor, dy: Tensor, spec: ConvSpec,
                                                    spec.out_channels)
     wmat = w.data.reshape(spec.out_channels, -1)
     cols = _im2col(x.data, spec)
-    dcols = _gemm(dy_mat, wmat, order)
+    dcols = _gemm(dy_mat, wmat)
     dx = _col2im(dcols, x.shape, spec)
-    dw = _gemm(dy_mat.T, cols, order).reshape(w.shape)
+    dw = _gemm(dy_mat.T, cols).reshape(w.shape)
     return Tensor(dx), Tensor(dw)
 
 
@@ -476,8 +445,7 @@ class LstmWeights:
 
 
 def lstm_cell_forward(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-                      weights: LstmWeights,
-                      order: GemmAccumOrder = GemmAccumOrder.SEQUENTIAL_K):
+                      weights: LstmWeights):
     """One LSTM step; the cell state stays FP32 throughout.
 
     Gate pre-activations are computed by gemm on ``x``, ``h_prev`` and
@@ -490,8 +458,8 @@ def lstm_cell_forward(x: Tensor, h_prev: Tensor, c_prev: Tensor,
             weights.w_hh.shape != (4 * hsz, hsz) or \
             weights.bias.shape != (4 * hsz,) or c_prev.shape != (n, hsz):
         raise ShapeError("lstm cell shapes inconsistent")
-    pre = (_gemm(x.data, weights.w_ih.data.T, order)
-           + _gemm(h_prev.data, weights.w_hh.data.T, order))
+    pre = (_gemm(x.data, weights.w_ih.data.T)
+           + _gemm(h_prev.data, weights.w_hh.data.T))
     pre = pre + weights.bias.data
     i = _sigmoid(pre[:, :hsz])
     f = _sigmoid(pre[:, hsz:2 * hsz])
@@ -500,7 +468,7 @@ def lstm_cell_forward(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     c = f * c_prev.data + i * g
     h = o * np.tanh(c).astype(np.float32)
     cache = dict(xq=x, hq=h_prev, wi=weights.w_ih, wh=weights.w_hh,
-                 c_prev=c_prev.data, i=i, f=f, g=g, o=o, c=c, order=order)
+                 c_prev=c_prev.data, i=i, f=f, g=g, o=o, c=c)
     return Tensor(h), Tensor(c), cache
 
 
@@ -513,7 +481,6 @@ def lstm_cell_backward(dh: Tensor, dc: Tensor, cache,
     gradient to what enters the backward gemms.
     """
     i, f, g, o, c = (cache[k] for k in ("i", "f", "g", "o", "c"))
-    order = cache["order"]
     tc = np.tanh(c).astype(np.float32)
     do = dh.data * tc
     dc_total = dc.data + dh.data * o * (np.float32(1) - tc * tc)
@@ -530,10 +497,10 @@ def lstm_cell_backward(dh: Tensor, dc: Tensor, cache,
     ], axis=1).astype(np.float32)
     if quantize_dpre is not None:
         dpre = quantize_dpre(Tensor(dpre)).data
-    dx = _gemm(dpre, cache["wi"].data, order)
-    dh_prev = _gemm(dpre, cache["wh"].data, order)
-    dw_ih = _gemm(dpre.T, cache["xq"].data, order)
-    dw_hh = _gemm(dpre.T, cache["hq"].data, order)
+    dx = _gemm(dpre, cache["wi"].data)
+    dh_prev = _gemm(dpre, cache["wh"].data)
+    dw_ih = _gemm(dpre.T, cache["xq"].data)
+    dw_hh = _gemm(dpre.T, cache["hq"].data)
     dbias = dpre.sum(axis=0, dtype=np.float32)
     return (Tensor(dx), Tensor(dh_prev), Tensor(dc_prev), Tensor(dw_ih),
             Tensor(dw_hh), Tensor(dbias))

@@ -21,7 +21,6 @@ from .kernels import (
     ActivationKind,
     BatchNormState,
     ConvSpec,
-    GemmAccumOrder,
     LstmWeights,
     PoolKind,
 )
@@ -171,7 +170,6 @@ class _Ctx:
     train: bool
     rng: RngStream | None
     stats: QuantStats | None
-    order: GemmAccumOrder
 
 
 _ROLE_FLAGS = {
@@ -239,7 +237,7 @@ class _DenseLayer(_Layer):
         if x.data.ndim != 2 or x.shape[1] != self.spec.in_features:
             raise ShapeError(f"dense{self.index} input shape {x.shape}")
         ps = self.params[0]
-        y = K._gemm(x.data, ps.shadow.data.T, ctx.order)
+        y = K._gemm(x.data, ps.shadow.data.T)
         if ps.bias is not None:
             y = y + ps.bias.data
         tape.caches.append(x)
@@ -248,10 +246,10 @@ class _DenseLayer(_Layer):
     def backward(self, dy, ctx, cache):
         x = cache
         ps = self.params[0]
-        ps.grad += K._gemm(dy.data.T, x.data, ctx.order)
+        ps.grad += K._gemm(dy.data.T, x.data)
         if ps.bias is not None:
             ps.bias_grad += dy.data.sum(axis=0, dtype=np.float32)
-        return Tensor(K._gemm(dy.data, ps.shadow.data, ctx.order))
+        return Tensor(K._gemm(dy.data, ps.shadow.data))
 
 
 class _ConvLayer(_Layer):
@@ -277,7 +275,7 @@ class _ConvLayer(_Layer):
 
     def forward(self, x, ctx, tape):
         ps = self.params[0]
-        y = K.conv2d_forward(x, ps.shadow, self.conv, ctx.order)
+        y = K.conv2d_forward(x, ps.shadow, self.conv)
         if ps.bias is not None:
             y = Tensor(y.data + ps.bias.data[:, None, None])
         tape.caches.append(x)
@@ -286,7 +284,7 @@ class _ConvLayer(_Layer):
     def backward(self, dy, ctx, cache):
         x = cache
         ps = self.params[0]
-        dx, dw = K.conv2d_backward(x, ps.shadow, dy, self.conv, ctx.order)
+        dx, dw = K.conv2d_backward(x, ps.shadow, dy, self.conv)
         ps.grad += dw.data
         if ps.bias is not None:
             ps.bias_grad += dy.data.sum(axis=(0, 2, 3), dtype=np.float32)
@@ -435,7 +433,7 @@ class _LstmLayer(_Layer):
         for step in range(t):
             xt = Tensor(np.ascontiguousarray(x.data[:, step, :]), x.tag)
             hq = _quantize(h, ctx, "lstm", "act")
-            h, c, cache = K.lstm_cell_forward(xt, hq, c, weights, ctx.order)
+            h, c, cache = K.lstm_cell_forward(xt, hq, c, weights)
             steps.append(cache)
         tape.caches.append((steps, x.shape))
         return h
@@ -492,11 +490,9 @@ _LAYER_TYPES = {
 
 
 class Network:
-    def __init__(self, layers, policy: QuantPolicy,
-                 order: GemmAccumOrder = GemmAccumOrder.SEQUENTIAL_K):
+    def __init__(self, layers, policy: QuantPolicy):
         self.layers = layers
         self.policy = policy
-        self.order = order
         self.refresh_shadows()
 
     # -- parameters -------------------------------------------------------
@@ -507,7 +503,7 @@ class Network:
 
     def refresh_shadows(self):
         """Re-quantize every master into its shadow; bias stays FP32."""
-        ctx = _Ctx(self.policy, False, None, None, self.order)
+        ctx = _Ctx(self.policy, False, None, None)
         for layer in self.layers:
             for ps in layer.params:
                 q = _quantize(ps.master, ctx, layer.layer_class, "weight")
@@ -525,7 +521,7 @@ class Network:
     def forward(self, x: Tensor, train: bool = True,
                 step_rng: RngStream | None = None,
                 stats: QuantStats | None = None):
-        ctx = _Ctx(self.policy, train, step_rng, stats, self.order)
+        ctx = _Ctx(self.policy, train, step_rng, stats)
         tape = Tape(train)
         out = x
         if self.layers:
@@ -544,7 +540,7 @@ class Network:
         if tape.outputs and dy.shape != tape.outputs[-1].shape:
             raise ShapeError(f"dy shape {dy.shape} != output shape "
                              f"{tape.outputs[-1].shape}")
-        ctx = _Ctx(self.policy, tape.train, None, stats, self.order)
+        ctx = _Ctx(self.policy, tape.train, None, stats)
         pending: dict[int, np.ndarray] = {}
         grad = dy
         for i in range(len(self.layers) - 1, -1, -1):
@@ -559,8 +555,7 @@ class Network:
         return grad
 
 
-def build_network(specs, policy: QuantPolicy, rng: RngStream,
-                  order: GemmAccumOrder = GemmAccumOrder.SEQUENTIAL_K) -> Network:
+def build_network(specs, policy: QuantPolicy, rng: RngStream) -> Network:
     """Instantiate layers with deterministic per-layer init streams."""
     layers = []
     for i, spec in enumerate(specs):
@@ -569,4 +564,4 @@ def build_network(specs, policy: QuantPolicy, rng: RngStream,
         except KeyError:
             raise ValueError(f"unknown layer spec {spec!r}") from None
         layers.append(cls(i, spec, rng.child(i)))
-    return Network(layers, policy, order)
+    return Network(layers, policy)

@@ -1,7 +1,10 @@
 """FP32 master-weight optimizers and static power-of-two loss scaling.
 
 Optimizers read FP32 gradients and update FP32 masters only; no
-quantization happens inside an update.  Loss scaling exists solely to
+quantization happens inside an update.  Their state is keyed by
+``ParamSet.name``, not by object identity: ``id()`` values are reused
+once an object is freed, and a copy of a parameter set with the same
+name continues its state.  Loss scaling exists solely to
 support the FP16 comparison arm: the scale is restricted to powers of
 two so that scaling followed by unscaling is bit-lossless in FP32.
 """
@@ -69,16 +72,15 @@ class Sgd:
 
     def __init__(self, cfg: SgdConfig):
         self.cfg = cfg
-        self._velocity: dict[int, list[np.ndarray]] = {}
+        self._velocity: dict[str, list[np.ndarray]] = {}
 
     def _state(self, ps):
-        key = id(ps)
-        if key not in self._velocity:
+        if ps.name not in self._velocity:
             vs = [np.zeros(ps.master.shape, np.float32)]
             if ps.bias is not None:
                 vs.append(np.zeros(ps.bias.shape, np.float32))
-            self._velocity[key] = vs
-        return self._velocity[key]
+            self._velocity[ps.name] = vs
+        return self._velocity[ps.name]
 
     def step(self, param_sets):
         cfg = self.cfg
@@ -108,18 +110,17 @@ class Adam:
     def __init__(self, cfg: AdamConfig):
         self.cfg = cfg
         self.t = 0
-        self._moments: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._moments: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def _state(self, ps):
-        key = id(ps)
-        if key not in self._moments:
+        if ps.name not in self._moments:
             ms = [(np.zeros(ps.master.shape, np.float32),
                    np.zeros(ps.master.shape, np.float32))]
             if ps.bias is not None:
                 ms.append((np.zeros(ps.bias.shape, np.float32),
                            np.zeros(ps.bias.shape, np.float32)))
-            self._moments[key] = ms
-        return self._moments[key]
+            self._moments[ps.name] = ms
+        return self._moments[ps.name]
 
     def step(self, param_sets):
         cfg = self.cfg

@@ -102,9 +102,6 @@ class Tensor:
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), self.tag)
 
-    def reshape(self, *shape) -> "Tensor":
-        return Tensor(self.data.reshape(*shape).copy(), self.tag)
-
 
 def quantize_tensor(t: Tensor, target: Precision,
                     mode: RoundingMode = RoundingMode.NEAREST_EVEN) -> Tensor:

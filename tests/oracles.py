@@ -116,25 +116,17 @@ def round_vectorized(x: np.ndarray, fmt: OracleFormat,
     return out
 
 
-def gemm_loop(a: np.ndarray, b: np.ndarray, paired: bool) -> np.ndarray:
+def gemm_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ordered FP32 GEMM with one vectorised step per k.
 
     The accumulator starts at +0.0 and takes each product a[:, j] * b[j]
-    in turn, or under ``paired`` each pair sum (p[j] + p[j+1]), with an
-    odd last product added alone.  Every operation is an FP32 multiply or
-    add of whole (m, n) arrays, so it is the scalar-loop order of the
-    kernel tests at a speed that allows k in the hundreds of thousands.
+    in turn.  Every operation is an FP32 multiply or add of whole (m, n)
+    arrays, so it is the scalar-loop order of the kernel tests at a speed
+    that allows k in the hundreds of thousands.
     """
     a = np.asarray(a, np.float32)
     b = np.asarray(b, np.float32)
-    k = a.shape[1]
     acc = np.zeros((a.shape[0], b.shape[1]), np.float32)
-    step = 2 if paired else 1
-    for j in range(0, k - k % step, step):
-        p = a[:, j, None] * b[j, None, :]
-        if paired:
-            p = p + a[:, j + 1, None] * b[j + 1, None, :]
-        acc = acc + p
-    if k % step:
-        acc = acc + a[:, k - 1, None] * b[k - 1, None, :]
+    for j in range(a.shape[1]):
+        acc = acc + a[:, j, None] * b[j, None, :]
     return acc

@@ -388,7 +388,7 @@ def test_criterion_10_fp16_underflow_demo(tmp_path):
     flat = (max(losses) - min(losses)) / abs(losses[0]) < 1e-6
     cfg = fp16_s1.config
     fresh = build_network(_network_specs(cfg.task), cfg.policy(),
-                          RngStream(cfg.seed, 1).child(0), cfg.order())
+                          RngStream(cfg.seed, 1).child(0))
     frozen = True
     model_dir = Path(cfg.out) / "model"
     for ps in fresh.param_sets():

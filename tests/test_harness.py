@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -91,6 +92,25 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(precision="fp32", loss_scale=2.0).validate()
         ExperimentConfig(precision="fp16", loss_scale=2.0).validate()
+
+    def test_paired_accum_order_rejected(self, tmp_path):
+        # The paired order was removed; the GEMM adds in one order.
+        path = tmp_path / "c.cfg"
+        path.write_text("accum_order = paired\n")
+        with pytest.raises(ConfigError, match="paired"):
+            config_from_mapping(parse_config_file(path))
+        with pytest.raises(ConfigError, match="paired"):
+            config_from_mapping({"accum_order": "paired"})
+        with pytest.raises(ConfigError, match="paired"):
+            ExperimentConfig(accum_order="paired").validate()
+        cfg = config_from_mapping({"accum_order": "sequential"})
+        assert cfg.accum_order == "sequential"
+
+    def test_accum_order_field_kept_for_golden_digests(self):
+        # benchmarks/golden.json is keyed on dataclasses.asdict(cfg); a
+        # missing field would move every workload to the cross-run gate.
+        assert dataclasses.asdict(ExperimentConfig())["accum_order"] == \
+            "sequential"
 
     def test_differ_only_in(self):
         a = ExperimentConfig(precision="fp32", out="runs/a")

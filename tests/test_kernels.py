@@ -8,7 +8,6 @@ from bf16emu.kernels import (
     ActivationKind,
     BatchNormState,
     ConvSpec,
-    GemmAccumOrder,
     LstmWeights,
     PoolKind,
     activation_backward,
@@ -36,34 +35,21 @@ from bf16emu.tensor import (
 
 from oracles import gemm_loop
 
-SEQ = GemmAccumOrder.SEQUENTIAL_K
-PAIRED = GemmAccumOrder.PAIRED_K
-
 
 # ---------------------------------------------------------------------------
 # independent scalar-loop oracles
 # ---------------------------------------------------------------------------
 
 
-def gemm_oracle(a, b, order):
+def gemm_oracle(a, b):
     m, k = a.shape
     n = b.shape[1]
     out = np.zeros((m, n), np.float32)
     for i in range(m):
         for jn in range(n):
             acc = np.float32(0.0)
-            if order is SEQ:
-                for j in range(k):
-                    acc = np.float32(acc + np.float32(a[i, j] * b[j, jn]))
-            else:
-                for j in range(0, k - 1, 2):
-                    pair = np.float32(
-                        np.float32(a[i, j] * b[j, jn])
-                        + np.float32(a[i, j + 1] * b[j + 1, jn]))
-                    acc = np.float32(acc + pair)
-                if k % 2:
-                    acc = np.float32(acc + np.float32(a[i, k - 1]
-                                                      * b[k - 1, jn]))
+            for j in range(k):
+                acc = np.float32(acc + np.float32(a[i, j] * b[j, jn]))
             out[i, jn] = acc
     return out
 
@@ -225,47 +211,42 @@ class TestGemm:
     # m*n == 1 stays on the per-k loop, since reducing the k axis in one
     # NumPy call would sum it pairwise; (96, 5, 96) is above the switch
     # point of the chunked path.
-    @pytest.mark.parametrize("order", [SEQ, PAIRED])
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (4, 7, 4),
                                        (2, 8, 3), (1, 7, 1), (1, 8, 1),
                                        (1, 128, 1), (1, 1000, 1),
                                        (96, 5, 96)])
-    def test_matches_scalar_oracle(self, order, shape):
+    def test_matches_scalar_oracle(self, shape):
         m, k, n = shape
         rng = np.random.default_rng(m * 100 + k * 10 + n)
         a = rand_bf16(rng, (m, k))
         b = rand_bf16(rng, (k, n))
-        got = gemm(a, b, order).data
-        want = gemm_oracle(a.data, b.data, order)
+        got = gemm(a, b).data
+        want = gemm_oracle(a.data, b.data)
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
-    @pytest.mark.parametrize("order", [SEQ, PAIRED])
     @pytest.mark.parametrize("chunks, rest", [(3, 17), (2, 33)])
-    def test_partial_last_chunk_matches_per_k_loop(self, order, chunks, rest):
-        # Several whole chunks, a partial one and, for odd k under
-        # PAIRED_K, a lone last product.
+    def test_partial_last_chunk_matches_per_k_loop(self, chunks, rest):
+        # Several whole chunks and a partial one.
         k = chunks * (kernels._CHUNK_ELEMS // (64 * 64)) + rest
         rng = np.random.default_rng(k)
         a = rng.standard_normal((64, k)).astype(np.float32)
         b = rng.standard_normal((k, 64)).astype(np.float32)
-        got = gemm(Tensor(a), Tensor(b), order).data
-        want = gemm_loop(a, b, order is PAIRED)
+        got = gemm(Tensor(a), Tensor(b)).data
+        want = gemm_loop(a, b)
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
-    @pytest.mark.parametrize("order", [SEQ, PAIRED])
     @pytest.mark.parametrize("shape", [(1, 9, 1), (3, 9, 4)])
-    def test_negative_zero_products_sum_to_positive_zero(self, order, shape):
+    def test_negative_zero_products_sum_to_positive_zero(self, shape):
         m, k, n = shape
         # Every product is -0.0; a sum started at +0.0, as in the loop,
         # stays +0.0.
         a = Tensor(np.full((m, k), -0.0, np.float32))
         b = Tensor(np.abs(rand_bf16(np.random.default_rng(4), (k, n)).data))
-        got = gemm(a, b, order).data
+        got = gemm(a, b).data
         assert np.array_equal(got.view(np.uint32), np.zeros((m, n), np.uint32))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("order", [SEQ, PAIRED])
-    def test_inf_and_nan_propagate_like_scalar_oracle(self, order):
+    def test_inf_and_nan_propagate_like_scalar_oracle(self):
         rng = np.random.default_rng(5)
         a = rand_bf16(rng, (4, 9)).data.copy()
         b = rand_bf16(rng, (9, 5)).data.copy()
@@ -274,15 +255,14 @@ class TestGemm:
         a[1, 6] = -np.inf
         a[2, 2] = np.nan
         b[7, 4] = np.inf
-        got = gemm(Tensor(a), Tensor(b), order).data
-        want = gemm_oracle(a, b, order)
+        got = gemm(Tensor(a), Tensor(b)).data
+        want = gemm_oracle(a, b)
         assert np.isnan(got[0, 1]) and np.isnan(got[2]).all()
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("inputs", ["fp32", "bf16"])
-    @pytest.mark.parametrize("order", [SEQ, PAIRED])
-    def test_sweep_matches_per_k_loop(self, order, inputs):
+    def test_sweep_matches_per_k_loop(self, inputs):
         rng = np.random.default_rng(7)
         for m in range(1, 7):
             for n in range(1, 7):
@@ -290,7 +270,7 @@ class TestGemm:
                 if m * n > 1:
                     # One either side of the chunk length, by the
                     # kernel's own rule; m*n == 1 never takes that path.
-                    chunk = (kernels._CHUNK_ELEMS // (m * n)) & ~1
+                    chunk = kernels._CHUNK_ELEMS // (m * n)
                     ks += [chunk - 1, chunk, chunk + 1]
                 for k in ks:
                     a = rng.standard_normal((m, k)).astype(np.float32)
@@ -298,28 +278,17 @@ class TestGemm:
                     if inputs == "bf16":
                         a = quantize_tensor(Tensor(a), Precision.BF16).data
                         b = quantize_tensor(Tensor(b), Precision.BF16).data
-                    got = gemm(Tensor(a), Tensor(b), order).data
-                    want = gemm_loop(a, b, order is PAIRED)
+                    got = gemm(Tensor(a), Tensor(b)).data
+                    want = gemm_loop(a, b)
                     assert np.array_equal(got.view(np.uint32),
                                           want.view(np.uint32)), (m, k, n)
-
-    def test_orders_can_differ(self):
-        # Sequential: ((1 + u) + u) + u sticks at 1.0 (each add is a tie
-        # resolved to even).  Paired: (1 + u) + (u + u) = 1 + 2u.
-        u = np.float32(2.0 ** -24)
-        a = Tensor(np.float32([[1.0, u, u, u]]))
-        b = Tensor(np.ones((4, 1), np.float32))
-        seq = gemm(a, b, SEQ).data[0, 0]
-        paired = gemm(a, b, PAIRED).data[0, 0]
-        assert seq == np.float32(1.0)
-        assert paired == np.float32(1.0) + np.float32(2.0 ** -23)
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         a = rand_bf16(rng, (8, 16))
         b = rand_bf16(rng, (16, 8))
-        x = gemm(a, b, SEQ).data
-        y = gemm(a, b, SEQ).data
+        x = gemm(a, b).data
+        y = gemm(a, b).data
         assert np.array_equal(x.view(np.uint32), y.view(np.uint32))
 
     def test_shape_mismatch(self):
@@ -765,8 +734,8 @@ def zero_lstm_weights(isz, hsz):
 
 def reference_lstm_cell(x, h_prev, c_prev, w):
     """Unfused scalar-composition reference; FP32 throughout."""
-    pre = gemm_oracle(x, w.w_ih.data.T.copy(), SEQ) \
-        + gemm_oracle(h_prev, w.w_hh.data.T.copy(), SEQ)
+    pre = gemm_oracle(x, w.w_ih.data.T.copy()) \
+        + gemm_oracle(h_prev, w.w_hh.data.T.copy())
     pre = (pre + w.bias.data).astype(np.float32)
     hsz = h_prev.shape[1]
     sig = lambda v: (1.0 / (1.0 + np.exp(-v))).astype(np.float32)

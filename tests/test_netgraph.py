@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bf16emu.kernels import ActivationKind, GemmAccumOrder, PoolKind
+from bf16emu.kernels import ActivationKind, PoolKind
 from bf16emu.netgraph import (
     Activation,
     BatchNorm,
@@ -26,7 +26,6 @@ from bf16emu.tensor import (
 
 from test_kernels import assert_grads_close, fd_grad, gemm_oracle
 
-SEQ = GemmAccumOrder.SEQUENTIAL_K
 RELU = ActivationKind.RELU
 
 
@@ -103,17 +102,17 @@ class TestFp32Identity:
             net.refresh_shadows()
 
             # reference, scalar-ordered gemm throughout
-            pre = gemm_oracle(x, w1.T.copy(), SEQ) + b1
+            pre = gemm_oracle(x, w1.T.copy()) + b1
             h = np.maximum(pre, np.float32(0))
-            out_ref = gemm_oracle(h, w2.T.copy(), SEQ) + b2
+            out_ref = gemm_oracle(h, w2.T.copy()) + b2
             assert np.array_equal(out.data.view(np.uint32),
                                   out_ref.view(np.uint32))
             dy_ref = (out_ref - target) * inv_n
-            dw2 = gemm_oracle(dy_ref.T.copy(), h, SEQ)
+            dw2 = gemm_oracle(dy_ref.T.copy(), h)
             db2 = dy_ref.sum(axis=0, dtype=np.float32)
-            dh = gemm_oracle(dy_ref, w2, SEQ)
+            dh = gemm_oracle(dy_ref, w2)
             dpre = np.where(pre > 0, dh, np.float32(0))
-            dw1 = gemm_oracle(dpre.T.copy(), x, SEQ)
+            dw1 = gemm_oracle(dpre.T.copy(), x)
             db1 = dpre.sum(axis=0, dtype=np.float32)
             w2 -= lr * dw2
             b2 -= lr * db2

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,37 @@ class TestAdam:
         opt.step([ps])
         assert ps.master.data[0] < 1.0
         assert ps.bias.data[0] > 1.0
+
+
+class TestStateKey:
+    @pytest.mark.parametrize("make_opt", [
+        lambda: Sgd(SgdConfig(lr=0.1, momentum=0.9, nesterov=True)),
+        lambda: Adam(AdamConfig(lr=0.01)),
+    ], ids=["sgd", "adam"])
+    def test_copy_with_same_name_continues_state(self, make_opt):
+        # State follows ParamSet.name: a fresh copy of a parameter set
+        # picks up its velocity or moments, bit for bit.  Every copy stays
+        # alive, so no id() value is reused along the way.
+        grads = [(0.5, -0.25), (-0.125, 0.75), (0.375, 0.5)]
+
+        def run(fresh_copy_each_step):
+            ps = make_ps([1.0, -2.0], bias=[3.0])
+            opt = make_opt()
+            kept = []
+            for g, gb in grads:
+                if fresh_copy_each_step:
+                    ps = copy.deepcopy(ps)
+                    kept.append(ps)
+                ps.grad[...] = g
+                ps.bias_grad[...] = gb
+                opt.step([ps])
+            return ps
+
+        want, got = run(False), run(True)
+        assert np.array_equal(got.master.data.view(np.uint32),
+                              want.master.data.view(np.uint32))
+        assert np.array_equal(got.bias.data.view(np.uint32),
+                              want.bias.data.view(np.uint32))
 
 
 class TestLossScaler:
