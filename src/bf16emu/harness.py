@@ -28,7 +28,6 @@ from .kernels import (
 from .netgraph import Network, QuantStats, build_network
 from .optim import Adam, AdamConfig, LossScaler, Sgd, SgdConfig
 from .tensor import (
-    LAYER_CLASSES,
     Precision,
     QuantPolicy,
     RngStream,
@@ -93,10 +92,14 @@ class ExperimentConfig:
     # sequential only; kept for the golden digest key
     accum_order: str = "sequential"
     out: str = "runs/run"
-    # {layer_class: {flag: bool}} overrides applied to the default policy.
+    # always empty; kept for the golden digest key
     policy_overrides: dict = field(default_factory=dict)
 
     def validate(self) -> "ExperimentConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.precision not in ("fp32", "bf16", "fp16"):
@@ -117,39 +120,34 @@ class ExperimentConfig:
         if self.precision in ("fp32", "bf16") and self.loss_scale != 1.0:
             raise ConfigError(
                 f"{self.precision} runs must keep loss_scale = 1")
-        for cls, flags in self.policy_overrides.items():
-            if cls not in LAYER_CLASSES:
-                raise ConfigError(f"unknown policy layer class {cls!r}")
-            for flag in flags:
-                if flag not in ("quantize_weights", "quantize_activations",
-                                "quantize_error_grads"):
-                    raise ConfigError(f"unknown policy flag {flag!r}")
+        if self.policy_overrides:
+            raise ConfigError(
+                "policy_overrides is not supported: which tensors are "
+                "quantized is fixed by the dataflow")
         return self
 
     def policy(self) -> QuantPolicy:
         mode = (RoundingMode.NEAREST_EVEN if self.rounding == "rne"
                 else RoundingMode.TRUNCATE)
-        policy = QuantPolicy(Precision(self.precision), mode)
-        for cls, flags in self.policy_overrides.items():
-            policy = policy.with_rule(cls, **flags)
-        return policy
+        return QuantPolicy(Precision(self.precision), mode)
 
 
-_BOOL_FIELDS = {"nesterov"}
-_INT_FIELDS = {"seed", "epochs", "batch_size", "max_train"}
-_FLOAT_FIELDS = {"loss_scale", "lr", "momentum", "weight_decay", "beta1",
-                 "beta2", "adam_eps", "loss_prescale"}
-_STR_FIELDS = {"task", "precision", "rounding", "optimizer", "accum_order",
-               "out"}
-
-
-def _parse_bool(raw: str) -> bool:
+def _parse_bool(raw) -> bool:
+    if not isinstance(raw, str):
+        return bool(raw)
     low = raw.strip().lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {raw!r}")
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# Config values are parsed by their field's declared type; a field of
+# any other type (policy_overrides) cannot be set from a mapping.
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)
+                  if f.type in _PARSERS}
 
 
 def parse_config_file(path) -> dict:
@@ -171,27 +169,14 @@ def config_from_mapping(mapping: dict,
                         base: ExperimentConfig | None = None) -> ExperimentConfig:
     cfg = base or ExperimentConfig()
     updates: dict = {}
-    overrides = {k: dict(v) for k, v in cfg.policy_overrides.items()}
     for key, raw in mapping.items():
-        if key.startswith("policy."):
-            parts = key.split(".")
-            if len(parts) != 3:
-                raise ConfigError(f"bad policy key {key!r}")
-            _, cls, flag = parts
-            overrides.setdefault(cls, {})[flag] = (
-                _parse_bool(raw) if isinstance(raw, str) else bool(raw))
-            continue
-        if key in _BOOL_FIELDS:
-            updates[key] = _parse_bool(raw) if isinstance(raw, str) else bool(raw)
-        elif key in _INT_FIELDS:
-            updates[key] = int(raw)
-        elif key in _FLOAT_FIELDS:
-            updates[key] = float(raw)
-        elif key in _STR_FIELDS:
-            updates[key] = str(raw)
-        else:
+        parse = _FIELD_PARSERS.get(key)
+        if parse is None:
             raise ConfigError(f"unknown config key {key!r}")
-    updates["policy_overrides"] = overrides
+        try:
+            updates[key] = parse(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from None
     return replace(cfg, **updates).validate()
 
 

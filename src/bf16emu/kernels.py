@@ -3,7 +3,9 @@
 Every kernel consumes FP32 arrays (possibly tagged as exactly
 representable in a 16-bit format) and accumulates in FP32.  Quantization
 happens at operator boundaries, decided by the caller; kernels know
-nothing about the policy and trust the tags they are given.
+nothing about the policy and trust the tags they are given.  So the
+LSTM cell is gate arithmetic alone: the layer around it runs its GEMMs
+and quantizes the hidden state and the gate gradients between them.
 
 Reduction order is fixed so results are bit-reproducible.  The GEMM
 never calls BLAS, whose blocked sums take another order.  It adds one k
@@ -29,7 +31,6 @@ names times convolution alone.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,8 +44,6 @@ __all__ = [
     "BatchNormState",
     "ActivationKind",
     "PoolKind",
-    "LstmWeights",
-    "gemm",
     "conv2d_forward",
     "conv2d_backward",
     "batchnorm_forward",
@@ -111,11 +110,6 @@ def _gemm_chunked(a: np.ndarray, b: np.ndarray, acc: np.ndarray) -> None:
                     out=buf[1:1 + c])
         buf[0] = acc
         np.add.reduce(buf[:1 + c], axis=0, out=acc)
-
-
-def gemm(a: Tensor, b: Tensor) -> Tensor:
-    """C[m,n] = ordered FP32 sum over k of a[m,k] * b[k,n]; output FP32."""
-    return Tensor(_gemm(a.data, b.data))
 
 
 # ---------------------------------------------------------------------------
@@ -435,57 +429,34 @@ def binary_log_loss(p, y) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LstmWeights:
-    """Gate weights stacked as [i; f; g; o] along the first axis."""
+def lstm_cell_forward(pre: np.ndarray, c_prev: np.ndarray):
+    """One LSTM step from the gate pre-activations ``pre`` (N, 4H).
 
-    w_ih: Tensor  # (4H, I)
-    w_hh: Tensor  # (4H, H)
-    bias: Tensor  # (4H,)
-
-
-def lstm_cell_forward(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-                      weights: LstmWeights):
-    """One LSTM step; the cell state stays FP32 throughout.
-
-    Gate pre-activations are computed by gemm on ``x``, ``h_prev`` and
-    the weights as given (the caller quantizes them); bias is added in
-    FP32.  Returns (h, c, cache).
+    The caller computes ``pre`` with its GEMMs and bias; the cell state
+    stays FP32 throughout.  Returns (h, c, cache), h and c of shape (N, H).
     """
-    n, isz = x.shape
-    hsz = h_prev.shape[1]
-    if weights.w_ih.shape != (4 * hsz, isz) or \
-            weights.w_hh.shape != (4 * hsz, hsz) or \
-            weights.bias.shape != (4 * hsz,) or c_prev.shape != (n, hsz):
-        raise ShapeError("lstm cell shapes inconsistent")
-    pre = (_gemm(x.data, weights.w_ih.data.T)
-           + _gemm(h_prev.data, weights.w_hh.data.T))
-    pre = pre + weights.bias.data
+    n, hsz = c_prev.shape
+    if pre.shape != (n, 4 * hsz):
+        raise ShapeError(f"lstm cell pre-activations {pre.shape} do not "
+                         f"match cell state {c_prev.shape}")
     i = _sigmoid(pre[:, :hsz])
     f = _sigmoid(pre[:, hsz:2 * hsz])
     g = np.tanh(pre[:, 2 * hsz:3 * hsz]).astype(np.float32)
     o = _sigmoid(pre[:, 3 * hsz:])
-    c = f * c_prev.data + i * g
+    c = f * c_prev + i * g
     h = o * np.tanh(c).astype(np.float32)
-    cache = dict(xq=x, hq=h_prev, wi=weights.w_ih, wh=weights.w_hh,
-                 c_prev=c_prev.data, i=i, f=f, g=g, o=o, c=c)
-    return Tensor(h), Tensor(c), cache
+    return h, c, (c_prev, i, f, g, o, c)
 
 
-def lstm_cell_backward(dh: Tensor, dc: Tensor, cache,
-                       quantize_dpre: Callable[[Tensor], Tensor] | None = None):
-    """Gradients of one LSTM step.
-
-    Returns (dx, dh_prev, dc_prev, dw_ih, dw_hh, dbias); weight grads FP32.
-    ``quantize_dpre``, when given, maps the gate-preactivation error
-    gradient to what enters the backward gemms.
-    """
-    i, f, g, o, c = (cache[k] for k in ("i", "f", "g", "o", "c"))
+def lstm_cell_backward(dh: np.ndarray, dc: np.ndarray, cache):
+    """Gradients of one LSTM step with respect to its pre-activations
+    and its incoming cell state.  Returns (dpre, dc_prev), both FP32."""
+    c_prev, i, f, g, o, c = cache
     tc = np.tanh(c).astype(np.float32)
-    do = dh.data * tc
-    dc_total = dc.data + dh.data * o * (np.float32(1) - tc * tc)
+    do = dh * tc
+    dc_total = dc + dh * o * (np.float32(1) - tc * tc)
     di = dc_total * g
-    df = dc_total * cache["c_prev"]
+    df = dc_total * c_prev
     dg = dc_total * i
     dc_prev = dc_total * f
     one = np.float32(1)
@@ -495,12 +466,4 @@ def lstm_cell_backward(dh: Tensor, dc: Tensor, cache,
         dg * (one - g * g),
         do * o * (one - o),
     ], axis=1).astype(np.float32)
-    if quantize_dpre is not None:
-        dpre = quantize_dpre(Tensor(dpre)).data
-    dx = _gemm(dpre, cache["wi"].data)
-    dh_prev = _gemm(dpre, cache["wh"].data)
-    dw_ih = _gemm(dpre.T, cache["xq"].data)
-    dw_hh = _gemm(dpre.T, cache["hq"].data)
-    dbias = dpre.sum(axis=0, dtype=np.float32)
-    return (Tensor(dx), Tensor(dh_prev), Tensor(dc_prev), Tensor(dw_ih),
-            Tensor(dw_hh), Tensor(dbias))
+    return dpre, dc_prev

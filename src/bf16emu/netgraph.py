@@ -2,12 +2,14 @@
 
 Parameters live as {FP32 master, quantized shadow, FP32 gradient}; bias
 tensors never pass through quantization.  Layers do only arithmetic and
-caching.  `Network` quantizes at layer boundaries under each layer's
-class rule: the network input (first layer's rule), each layer's output
-and the error gradient entering each layer.  Only the LSTM quantizes
-inside itself, in its recurrence.  Every quantization, shadow weights
-included, goes through `_quantize`.  With an FP32 policy it is the
-identity and the engine is a plain FP32 network.
+caching.  `Network` quantizes at layer boundaries: the network input,
+each layer's output and the error gradient entering each layer.  Only
+the LSTM quantizes inside itself, in its recurrence: the hidden state
+it feeds back and its gate gradients.  Every quantization, shadow
+weights included, goes through `_quantize`, and which tensors it skips
+is one fixed table, `_FP32_ROLES`.  The policy sets only the format and
+rounding; with an FP32 policy `_quantize` is the identity and the
+engine is a plain FP32 network.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .kernels import (
     ActivationKind,
     BatchNormState,
     ConvSpec,
-    LstmWeights,
     PoolKind,
 )
 from .tensor import (
@@ -172,23 +173,24 @@ class _Ctx:
     stats: QuantStats | None
 
 
-_ROLE_FLAGS = {
-    "weight": "quantize_weights",
-    "act": "quantize_activations",
-    "err": "quantize_error_grads",
-}
+# Roles ("weight", "act", "err") a layer class keeps in FP32; every other
+# role of every class is quantized.  Batchnorm quantizes only its output:
+# scale/shift are affine parameters, not GEMM weights, and its incoming
+# error grad stays FP32.
+_FP32_ROLES = {"batchnorm": ("weight", "err")}
 
 
 def _quantize(t: Tensor, ctx: _Ctx, layer_class: str, role: str) -> Tensor:
-    """Quantize ``t`` if the policy's rule for ``layer_class`` asks for
-    its role ("weight", "act" or "err"); returns ``t`` itself otherwise.
+    """Quantize ``t``, the ``role`` tensor of a ``layer_class`` layer,
+    unless the policy is FP32, ``t`` is already in its format or
+    ``_FP32_ROLES`` keeps the role; returns ``t`` itself then.
 
     Error gradients are recorded in the context's stats.
     """
     policy = ctx.policy
     if policy.identity or t.tag is policy.precision:
         return t
-    if not getattr(policy.rule(layer_class), _ROLE_FLAGS[role]):
+    if role in _FP32_ROLES.get(layer_class, ()):
         return t
     q = quantize_tensor(t, policy.precision, policy.mode)
     if role == "err" and ctx.stats is not None:
@@ -417,43 +419,42 @@ class _LstmLayer(_Layer):
                      np.zeros(w_hh.shape, np.float32)),
         ]
 
-    def _weights(self) -> LstmWeights:
-        return LstmWeights(self.params[0].shadow, self.params[1].shadow,
-                           self.params[0].bias)
-
     def forward(self, x, ctx, tape):
         if x.data.ndim != 3 or x.shape[2] != self.spec.input_size:
             raise ShapeError(f"lstm{self.index} expects (N,T,I), got {x.shape}")
         n, t, _ = x.shape
         hsz = self.spec.hidden_size
-        h = Tensor(np.zeros((n, hsz), np.float32))
-        c = Tensor(np.zeros((n, hsz), np.float32))
-        weights = self._weights()
+        w_ih, w_hh = (ps.shadow.data for ps in self.params)
+        bias = self.params[0].bias.data
+        h = np.zeros((n, hsz), np.float32)
+        c = np.zeros((n, hsz), np.float32)
         steps = []
         for step in range(t):
-            xt = Tensor(np.ascontiguousarray(x.data[:, step, :]), x.tag)
-            hq = _quantize(h, ctx, "lstm", "act")
-            h, c, cache = K.lstm_cell_forward(xt, hq, c, weights)
-            steps.append(cache)
+            xt = np.ascontiguousarray(x.data[:, step, :])
+            hq = _quantize(Tensor(h), ctx, self.layer_class, "act").data
+            pre = (K._gemm(xt, w_ih.T) + K._gemm(hq, w_hh.T)) + bias
+            h, c, cell = K.lstm_cell_forward(pre, c)
+            steps.append((xt, hq, cell))
         tape.caches.append((steps, x.shape))
-        return h
+        return Tensor(h)
 
-    def backward(self, dh, ctx, cache):
+    def backward(self, dy, ctx, cache):
         steps, x_shape = cache
-        n, t, _ = x_shape
-        hsz = self.spec.hidden_size
-        dc = Tensor(np.zeros((n, hsz), np.float32))
-        dx_seq = np.zeros(x_shape, np.float32)
         w_ih_ps, w_hh_ps = self.params
-        for step in range(t - 1, -1, -1):
-            dx, dh, dc, dw_ih, dw_hh, dbias = K.lstm_cell_backward(
-                dh, dc, steps[step],
-                lambda dpre: _quantize(dpre, ctx, "lstm", "err"))
-            dx_seq[:, step, :] = dx.data
-            w_ih_ps.grad += dw_ih.data
-            w_hh_ps.grad += dw_hh.data
-            w_ih_ps.bias_grad += dbias.data
-        return Tensor(dx_seq)
+        w_ih, w_hh = w_ih_ps.shadow.data, w_hh_ps.shadow.data
+        dh = dy.data
+        dc = np.zeros_like(dh)
+        dx = np.zeros(x_shape, np.float32)
+        for step in range(x_shape[1] - 1, -1, -1):
+            xt, hq, cell = steps[step]
+            dpre, dc = K.lstm_cell_backward(dh, dc, cell)
+            dpre = _quantize(Tensor(dpre), ctx, self.layer_class, "err").data
+            dx[:, step, :] = K._gemm(dpre, w_ih)
+            dh = K._gemm(dpre, w_hh)
+            w_ih_ps.grad += K._gemm(dpre.T, xt)
+            w_hh_ps.grad += K._gemm(dpre.T, hq)
+            w_ih_ps.bias_grad += dpre.sum(axis=0, dtype=np.float32)
+        return Tensor(dx)
 
 
 class _FlattenLayer(_Layer):

@@ -92,6 +92,12 @@ class FormatSpec:
         row = (self.exponent_bits, self.mantissa_bits, self.bias)
         if row not in _ALLOWED_ROWS:
             raise ValueError(f"unsupported format layout {row}")
+        # Only the bf16 narrowing can flush; fp16 keeps its subnormals and
+        # fp32 is not narrowed at all.
+        if self.subnormal_policy is SubnormalPolicy.FLUSH_TO_ZERO \
+                and self.mantissa_bits != 7:
+            raise ValueError(f"{self.name}: flush-to-zero is supported "
+                             "only for the bf16 layout")
 
 
 FP32_SPEC = FormatSpec("fp32", 8, 23, 127)

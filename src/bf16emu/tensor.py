@@ -3,13 +3,14 @@
 A tensor tagged BF16 or FP16 still stores FP32 values; the tag asserts
 that every element is exactly representable in the tagged format, so
 FP32 kernels operating on it reproduce the 16-bit-input / FP32-accumulator
-arithmetic bit for bit.
+arithmetic bit for bit.  A `QuantPolicy` names only the target format
+and rounding mode; the network decides which tensors it applies to.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -38,8 +39,6 @@ __all__ = [
     "HeNormal",
     "XavierUniform",
     "QuantPolicy",
-    "LayerClassRule",
-    "LAYER_CLASSES",
     "quantize_tensor",
     "init_tensor",
     "dump_tensor",
@@ -248,62 +247,21 @@ def load_tensor(path) -> Tensor:
 # quantization policy
 # ---------------------------------------------------------------------------
 
-LAYER_CLASSES = (
-    "gemm", "conv", "batchnorm", "activation", "pool", "dropout",
-    "eltwise", "lstm",
-)
-
 
 @dataclass(frozen=True)
-class LayerClassRule:
-    """Per layer class: quantize its shadow weights (never the bias), its
-    output (for the first layer also the network input), and the error
-    gradient entering it.  An LSTM applies the last two flags also to the
-    hidden state it feeds back and to its gate gradients at each step."""
-
-    quantize_weights: bool = True
-    quantize_activations: bool = True
-    quantize_error_grads: bool = True
-
-
-def _default_rules() -> dict[str, LayerClassRule]:
-    rules = {name: LayerClassRule() for name in LAYER_CLASSES}
-    # Batchnorm quantizes only its output: scale/shift are affine
-    # parameters, not GEMM weights, and its incoming error grad stays FP32.
-    rules["batchnorm"] = LayerClassRule(
-        quantize_weights=False, quantize_activations=True,
-        quantize_error_grads=False)
-    return rules
-
-
-@dataclass
 class QuantPolicy:
-    """Which tensors get quantized at layer boundaries, and how."""
+    """The 16-bit format tensors are quantized to, and the rounding.
+
+    Which tensors are quantized is fixed by the dataflow in
+    ``netgraph._quantize``, not by the policy.
+    """
 
     precision: Precision = Precision.FP32
     mode: RoundingMode = RoundingMode.NEAREST_EVEN
-    rules: dict[str, LayerClassRule] = field(default_factory=_default_rules)
-
-    def __post_init__(self):
-        unknown = set(self.rules) - set(LAYER_CLASSES)
-        if unknown:
-            raise ValueError(f"unknown layer classes in policy: {unknown}")
-        for name in LAYER_CLASSES:
-            self.rules.setdefault(name, LayerClassRule())
-
-    def rule(self, layer_class: str) -> LayerClassRule:
-        return self.rules[layer_class]
 
     @property
     def identity(self) -> bool:
         return self.precision is Precision.FP32
-
-    def with_rule(self, layer_class: str, **flags) -> "QuantPolicy":
-        if layer_class not in LAYER_CLASSES:
-            raise ValueError(f"unknown layer class {layer_class!r}")
-        rules = dict(self.rules)
-        rules[layer_class] = replace(rules[layer_class], **flags)
-        return QuantPolicy(self.precision, self.mode, rules)
 
     @classmethod
     def fp32(cls) -> "QuantPolicy":

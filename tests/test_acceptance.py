@@ -24,7 +24,6 @@ from bf16emu.kernels import (
     ActivationKind,
     BatchNormState,
     ConvSpec,
-    LstmWeights,
     PoolKind,
     activation_backward,
     activation_forward,
@@ -32,13 +31,11 @@ from bf16emu.kernels import (
     batchnorm_forward,
     conv2d_backward,
     conv2d_forward,
-    lstm_cell_backward,
-    lstm_cell_forward,
     pool_backward,
     pool_forward,
     softmax_cross_entropy,
 )
-from bf16emu.netgraph import build_network
+from bf16emu.netgraph import Activation, Dense, Lstm, build_network
 from bf16emu.numerics import (
     RoundingMode,
     bf16_to_f32_array,
@@ -190,6 +187,7 @@ def test_criterion_04_exact_product_property():
 def test_criterion_05_gradient_checks():
     t0 = time.time()
     instances = 0
+    pol = QuantPolicy.fp32()
 
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
@@ -257,29 +255,21 @@ def test_criterion_05_gradient_checks():
             lambda v: softmax_cross_entropy(Tensor(v), labels)[0],
             z.copy()))
 
-        # lstm cell
-        pol = QuantPolicy.fp32()
-        wl = LstmWeights(
-            Tensor((rng.standard_normal((8, 2)) * 0.3).astype(np.float32)),
-            Tensor((rng.standard_normal((8, 2)) * 0.3).astype(np.float32)),
-            Tensor((rng.standard_normal(8) * 0.3).astype(np.float32)))
-        xl = rng.standard_normal((2, 2)).astype(np.float32)
-        hl = rng.standard_normal((2, 2)).astype(np.float32)
-        cl = rng.standard_normal((2, 2)).astype(np.float32)
-        dh = rng.standard_normal((2, 2)).astype(np.float32)
-        _, _, cache = lstm_cell_forward(Tensor(xl), Tensor(hl), Tensor(cl),
-                                        wl)
-        dxl, _, _, _, _, _ = lstm_cell_backward(
-            Tensor(dh), Tensor(np.zeros((2, 2), np.float32)), cache)
+        # lstm layer over three steps (gate arithmetic and its GEMMs)
+        lstm = build_network([Lstm(2, 2), Dense(2, 1)], pol,
+                             RngStream(seed))
+        xl = rng.standard_normal((2, 3, 2)).astype(np.float32)
+        dyl = rng.standard_normal((2, 1)).astype(np.float32)
+        _, tape = lstm.forward(Tensor(xl), train=False)
+        lstm.zero_grads()
+        dxl = lstm.backward(tape, Tensor(dyl))
 
         def lstm_loss(v):
-            h, _, _ = lstm_cell_forward(Tensor(v), Tensor(hl), Tensor(cl),
-                                        wl)
-            return float((h.data.astype(np.float64) * dh).sum())
+            out, _ = lstm.forward(Tensor(v), train=False)
+            return float((out.data.astype(np.float64) * dyl).sum())
         assert_grads_close(dxl.data, fd_grad(lstm_loss, xl.copy()))
 
         # full network (dense + tanh)
-        from bf16emu.netgraph import Activation, Dense
         net = build_network([Dense(3, 4), Activation(ActivationKind.TANH),
                              Dense(4, 2)], pol, RngStream(seed))
         xn = rng.standard_normal((3, 3)).astype(np.float32)

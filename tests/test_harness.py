@@ -57,17 +57,30 @@ class TestConfigFile:
             config_from_mapping({"learning_rate": "0.1"})
 
     def test_policy_override_keys(self):
-        cfg = config_from_mapping(
-            {"precision": "bf16",
-             "policy.gemm.quantize_error_grads": "false"})
-        assert not cfg.policy().rule("gemm").quantize_error_grads
-        assert cfg.policy().rule("gemm").quantize_weights
+        # Which tensors are quantized is fixed; the per-layer-class
+        # policy.<class>.<flag> keys were removed and are unknown keys.
+        with pytest.raises(ConfigError, match="unknown config key"):
+            config_from_mapping(
+                {"precision": "bf16",
+                 "policy.gemm.quantize_error_grads": "false"})
+        with pytest.raises(ConfigError, match="unknown config key"):
+            config_from_mapping({"policy_overrides": "{}"})
 
     def test_policy_key_validation(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"policy.attention.quantize_weights": "true"})
         with pytest.raises(ConfigError):
             config_from_mapping({"policy.gemm.no_such_flag": "true"})
+        with pytest.raises(ConfigError, match="policy_overrides"):
+            ExperimentConfig(policy_overrides={
+                "gemm": {"quantize_error_grads": False}}).validate()
+
+    @pytest.mark.parametrize("key, raw", [
+        ("epochs", "ten"), ("seed", "1.5"), ("lr", "fast"),
+        ("nesterov", "maybe")])
+    def test_unparsable_value_names_key(self, key, raw):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({key: raw})
 
     def test_overrides_win_over_base(self):
         base = config_from_mapping({"precision": "bf16", "lr": "0.2"})
@@ -111,6 +124,19 @@ class TestValidation:
         # missing field would move every workload to the cross-run gate.
         assert dataclasses.asdict(ExperimentConfig())["accum_order"] == \
             "sequential"
+
+    def test_policy_overrides_field_kept_for_golden_digests(self):
+        assert dataclasses.asdict(ExperimentConfig())["policy_overrides"] == {}
+
+    @pytest.mark.parametrize("key", ["lr", "momentum", "weight_decay",
+                                     "beta1", "beta2", "adam_eps",
+                                     "loss_prescale", "loss_scale"])
+    def test_non_finite_floats_rejected(self, key):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=key):
+                config_from_mapping({"precision": "fp16", key: value})
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig(**{key: float(value)}).validate()
 
     def test_differ_only_in(self):
         a = ExperimentConfig(precision="fp32", out="runs/a")
@@ -313,6 +339,18 @@ class TestCli:
     def test_config_error_is_exit_1(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, task="imagenet")
         assert cli.main(["train", "--config", str(cfg)]) == 1
+
+    def test_unparsable_value_is_config_error(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, epochs="ten")
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "epochs" in err
+
+    def test_nan_lr_is_config_error(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, lr="nan")
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_file_is_exit_1(self, tmp_path, capsys):
         assert cli.main(["train", "--config",

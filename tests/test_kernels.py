@@ -8,7 +8,6 @@ from bf16emu.kernels import (
     ActivationKind,
     BatchNormState,
     ConvSpec,
-    LstmWeights,
     PoolKind,
     activation_backward,
     activation_forward,
@@ -18,12 +17,12 @@ from bf16emu.kernels import (
     conv2d_backward,
     conv2d_forward,
     dropout,
-    gemm,
     lstm_cell_backward,
     lstm_cell_forward,
     pool_backward,
     pool_forward,
     softmax_cross_entropy,
+    _gemm,
 )
 from bf16emu.tensor import (
     Precision,
@@ -190,20 +189,19 @@ def rand_bf16(rng, shape, scale=1.0):
 
 class TestGemm:
     def test_identity(self):
-        b = rand_bf16(np.random.default_rng(0), (2, 3))
-        out = gemm(Tensor(np.eye(2, dtype=np.float32)), b)
-        assert np.array_equal(out.data, b.data)
-        assert out.tag is Precision.FP32
+        b = rand_bf16(np.random.default_rng(0), (2, 3)).data
+        out = _gemm(np.eye(2, dtype=np.float32), b)
+        assert np.array_equal(out, b)
+        assert out.dtype == np.float32
 
     def test_product_of_two_bf16_values_is_exact(self):
-        out = gemm(Tensor(np.float32([[3.140625]])),
-                   Tensor(np.float32([[1.015625]])))
-        assert out.data[0, 0] == np.float32(3.189697265625)
+        out = _gemm(np.float32([[3.140625]]), np.float32([[1.015625]]))
+        assert out[0, 0] == np.float32(3.189697265625)
 
     def test_fp32_accumulator_keeps_small_addend(self):
-        a = Tensor(np.float32([[2.0 ** 20, 1.0]]))
-        b = Tensor(np.float32([[1.0], [1.0]]))
-        assert gemm(a, b).data[0, 0] == 1048577.0
+        a = np.float32([[2.0 ** 20, 1.0]])
+        b = np.float32([[1.0], [1.0]])
+        assert _gemm(a, b)[0, 0] == 1048577.0
         # The same sum rounded through bf16 loses the 1.0.
         s = quantize_tensor(Tensor(np.float32([1048577.0])), Precision.BF16)
         assert s.data[0] == 1048576.0
@@ -218,10 +216,10 @@ class TestGemm:
     def test_matches_scalar_oracle(self, shape):
         m, k, n = shape
         rng = np.random.default_rng(m * 100 + k * 10 + n)
-        a = rand_bf16(rng, (m, k))
-        b = rand_bf16(rng, (k, n))
-        got = gemm(a, b).data
-        want = gemm_oracle(a.data, b.data)
+        a = rand_bf16(rng, (m, k)).data
+        b = rand_bf16(rng, (k, n)).data
+        got = _gemm(a, b)
+        want = gemm_oracle(a, b)
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
     @pytest.mark.parametrize("chunks, rest", [(3, 17), (2, 33)])
@@ -231,7 +229,7 @@ class TestGemm:
         rng = np.random.default_rng(k)
         a = rng.standard_normal((64, k)).astype(np.float32)
         b = rng.standard_normal((k, 64)).astype(np.float32)
-        got = gemm(Tensor(a), Tensor(b)).data
+        got = _gemm(a, b)
         want = gemm_loop(a, b)
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
@@ -240,9 +238,9 @@ class TestGemm:
         m, k, n = shape
         # Every product is -0.0; a sum started at +0.0, as in the loop,
         # stays +0.0.
-        a = Tensor(np.full((m, k), -0.0, np.float32))
-        b = Tensor(np.abs(rand_bf16(np.random.default_rng(4), (k, n)).data))
-        got = gemm(a, b).data
+        a = np.full((m, k), -0.0, np.float32)
+        b = np.abs(rand_bf16(np.random.default_rng(4), (k, n)).data)
+        got = _gemm(a, b)
         assert np.array_equal(got.view(np.uint32), np.zeros((m, n), np.uint32))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -255,7 +253,7 @@ class TestGemm:
         a[1, 6] = -np.inf
         a[2, 2] = np.nan
         b[7, 4] = np.inf
-        got = gemm(Tensor(a), Tensor(b)).data
+        got = _gemm(a, b)
         want = gemm_oracle(a, b)
         assert np.isnan(got[0, 1]) and np.isnan(got[2]).all()
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
@@ -278,23 +276,22 @@ class TestGemm:
                     if inputs == "bf16":
                         a = quantize_tensor(Tensor(a), Precision.BF16).data
                         b = quantize_tensor(Tensor(b), Precision.BF16).data
-                    got = gemm(Tensor(a), Tensor(b)).data
+                    got = _gemm(a, b)
                     want = gemm_loop(a, b)
                     assert np.array_equal(got.view(np.uint32),
                                           want.view(np.uint32)), (m, k, n)
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
-        a = rand_bf16(rng, (8, 16))
-        b = rand_bf16(rng, (16, 8))
-        x = gemm(a, b).data
-        y = gemm(a, b).data
+        a = rand_bf16(rng, (8, 16)).data
+        b = rand_bf16(rng, (16, 8)).data
+        x = _gemm(a, b)
+        y = _gemm(a, b)
         assert np.array_equal(x.view(np.uint32), y.view(np.uint32))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            gemm(Tensor(np.zeros((2, 3), np.float32)),
-                 Tensor(np.zeros((4, 2), np.float32)))
+            _gemm(np.zeros((2, 3), np.float32), np.zeros((4, 2), np.float32))
 
     def test_exact_product_lemma(self):
         # FP32 product of two bf16 values equals the float64 product
@@ -715,29 +712,9 @@ class TestBinaryLogLoss:
 # ---------------------------------------------------------------------------
 
 
-def make_lstm_weights(rng, isz, hsz, scale=0.3):
-    return LstmWeights(
-        w_ih=Tensor((rng.standard_normal((4 * hsz, isz)) * scale)
-                    .astype(np.float32)),
-        w_hh=Tensor((rng.standard_normal((4 * hsz, hsz)) * scale)
-                    .astype(np.float32)),
-        bias=Tensor((rng.standard_normal(4 * hsz) * scale)
-                    .astype(np.float32)),
-    )
-
-
-def zero_lstm_weights(isz, hsz):
-    return LstmWeights(Tensor(np.zeros((4 * hsz, isz), np.float32)),
-                       Tensor(np.zeros((4 * hsz, hsz), np.float32)),
-                       Tensor(np.zeros(4 * hsz, np.float32)))
-
-
-def reference_lstm_cell(x, h_prev, c_prev, w):
-    """Unfused scalar-composition reference; FP32 throughout."""
-    pre = gemm_oracle(x, w.w_ih.data.T.copy()) \
-        + gemm_oracle(h_prev, w.w_hh.data.T.copy())
-    pre = (pre + w.bias.data).astype(np.float32)
-    hsz = h_prev.shape[1]
+def reference_lstm_cell(pre, c_prev):
+    """Unfused gate arithmetic from the pre-activations; FP32 throughout."""
+    hsz = c_prev.shape[1]
     sig = lambda v: (1.0 / (1.0 + np.exp(-v))).astype(np.float32)
     i = sig(pre[:, :hsz])
     f = sig(pre[:, hsz:2 * hsz])
@@ -748,102 +725,71 @@ def reference_lstm_cell(x, h_prev, c_prev, w):
     return h, c
 
 
+def rand_lstm_step(seed, n=2, hsz=2):
+    """Pre-activations (n, 4*hsz) and a cell state (n, hsz)."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, 4 * hsz)).astype(np.float32),
+            rng.standard_normal((n, hsz)).astype(np.float32))
+
+
 class TestLstmCell:
     def test_zero_everything(self):
-        w = zero_lstm_weights(3, 2)
-        z = Tensor(np.zeros((2, 3), np.float32))
-        zh = Tensor(np.zeros((2, 2), np.float32))
-        h, c, _ = lstm_cell_forward(z, zh, zh.copy(), w)
-        assert np.all(h.data == 0.0) and np.all(c.data == 0.0)
+        z = np.zeros((2, 2), np.float32)
+        h, c, _ = lstm_cell_forward(np.zeros((2, 8), np.float32), z)
+        assert np.all(h == 0.0) and np.all(c == 0.0)
 
     def test_zero_weights_halve_cell_state(self):
-        w = zero_lstm_weights(3, 2)
-        x = Tensor(np.ones((1, 3), np.float32))
-        h_prev = Tensor(np.ones((1, 2), np.float32))
-        c_prev = Tensor(np.float32([[0.8, -0.4]]))
-        h, c, _ = lstm_cell_forward(x, h_prev, c_prev, w)
-        assert np.allclose(c.data, 0.5 * c_prev.data, atol=1e-7)
-        assert np.allclose(h.data, 0.5 * np.tanh(0.5 * c_prev.data),
-                           atol=1e-6)
+        # Zero pre-activations open every sigmoid gate halfway and zero g.
+        c_prev = np.float32([[0.8, -0.4]])
+        h, c, _ = lstm_cell_forward(np.zeros((1, 8), np.float32), c_prev)
+        assert np.allclose(c, 0.5 * c_prev, atol=1e-7)
+        assert np.allclose(h, 0.5 * np.tanh(0.5 * c_prev), atol=1e-6)
 
     def test_matches_unfused_reference_bit_exact(self):
-        rng = np.random.default_rng(17)
-        w = make_lstm_weights(rng, 3, 2)
-        x = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
-        h_prev = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
-        c_prev = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
-        h, c, _ = lstm_cell_forward(x, h_prev, c_prev, w)
-        h_ref, c_ref = reference_lstm_cell(x.data, h_prev.data,
-                                           c_prev.data, w)
-        assert np.array_equal(h.data.view(np.uint32),
-                              h_ref.view(np.uint32))
-        assert np.array_equal(c.data.view(np.uint32),
-                              c_ref.view(np.uint32))
+        pre, c_prev = rand_lstm_step(17)
+        h, c, _ = lstm_cell_forward(pre, c_prev)
+        h_ref, c_ref = reference_lstm_cell(pre, c_prev)
+        assert np.array_equal(h.view(np.uint32), h_ref.view(np.uint32))
+        assert np.array_equal(c.view(np.uint32), c_ref.view(np.uint32))
 
     def test_backward_zero_upstream(self):
-        rng = np.random.default_rng(18)
-        w = make_lstm_weights(rng, 3, 2)
-        x = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
-        h_prev = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
-        c_prev = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
-        _, _, cache = lstm_cell_forward(x, h_prev, c_prev, w)
-        zeros = Tensor(np.zeros((2, 2), np.float32))
-        outs = lstm_cell_backward(zeros, zeros.copy(), cache)
-        for t in outs:
-            assert np.all(t.data == 0.0)
+        pre, c_prev = rand_lstm_step(18)
+        _, _, cache = lstm_cell_forward(pre, c_prev)
+        zeros = np.zeros((2, 2), np.float32)
+        dpre, dc_prev = lstm_cell_backward(zeros, zeros.copy(), cache)
+        assert dpre.shape == pre.shape and dc_prev.shape == c_prev.shape
+        assert np.all(dpre == 0.0) and np.all(dc_prev == 0.0)
 
     def test_backward_vs_finite_differences(self):
-        rng = np.random.default_rng(19)
-        isz, hsz, n = 3, 2, 2
-        w = make_lstm_weights(rng, isz, hsz)
-        x = rng.standard_normal((n, isz)).astype(np.float32)
-        h_prev = rng.standard_normal((n, hsz)).astype(np.float32)
-        c_prev = rng.standard_normal((n, hsz)).astype(np.float32)
-        dh = rng.standard_normal((n, hsz)).astype(np.float32)
-        dc = rng.standard_normal((n, hsz)).astype(np.float32)
+        pre, c_prev = rand_lstm_step(19)
+        rng = np.random.default_rng(119)
+        dh = rng.standard_normal(c_prev.shape).astype(np.float32)
+        dc = rng.standard_normal(c_prev.shape).astype(np.float32)
 
-        def loss(xv, hv, cv, wih, whh, bias):
-            weights = LstmWeights(Tensor(wih), Tensor(whh), Tensor(bias))
-            h, c, _ = lstm_cell_forward(Tensor(xv), Tensor(hv), Tensor(cv),
-                                        weights)
-            return float((h.data.astype(np.float64) * dh).sum()
-                         + (c.data.astype(np.float64) * dc).sum())
+        def loss(pv, cv):
+            h, c, _ = lstm_cell_forward(pv, cv)
+            return float((h.astype(np.float64) * dh).sum()
+                         + (c.astype(np.float64) * dc).sum())
 
-        _, _, cache = lstm_cell_forward(
-            Tensor(x), Tensor(h_prev), Tensor(c_prev), w)
-        dx, dhp, dcp, dwih, dwhh, dbias = lstm_cell_backward(
-            Tensor(dh), Tensor(dc), cache)
-
-        args = [x, h_prev, c_prev, w.w_ih.data, w.w_hh.data, w.bias.data]
-        for idx, analytic in enumerate(
-                [dx.data, dhp.data, dcp.data, dwih.data, dwhh.data,
-                 dbias.data]):
-            def partial(v, idx=idx):
-                a = [arr.copy() for arr in args]
-                a[idx] = v
-                return loss(*a)
-            assert_grads_close(analytic,
-                               fd_grad(partial, args[idx].copy()))
+        _, _, cache = lstm_cell_forward(pre, c_prev)
+        dpre, dc_prev = lstm_cell_backward(dh, dc, cache)
+        assert_grads_close(dpre, fd_grad(lambda v: loss(v, c_prev),
+                                         pre.copy()))
+        assert_grads_close(dc_prev, fd_grad(lambda v: loss(pre, v),
+                                            c_prev.copy()))
 
     def test_backward_deterministic(self):
-        rng = np.random.default_rng(20)
-        w = make_lstm_weights(rng, 3, 2)
-        x = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
-        h_prev = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
-        c_prev = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
-        dh = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
-        dc = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
-        _, _, cache = lstm_cell_forward(x, h_prev, c_prev, w)
+        pre, c_prev = rand_lstm_step(20)
+        rng = np.random.default_rng(120)
+        dh = rng.standard_normal(c_prev.shape).astype(np.float32)
+        dc = rng.standard_normal(c_prev.shape).astype(np.float32)
+        _, _, cache = lstm_cell_forward(pre, c_prev)
         first = lstm_cell_backward(dh, dc, cache)
         second = lstm_cell_backward(dh, dc, cache)
         for a, b in zip(first, second):
-            assert np.array_equal(a.data.view(np.uint32),
-                                  b.data.view(np.uint32))
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
     def test_shape_mismatch(self):
-        w = zero_lstm_weights(3, 2)
         with pytest.raises(ShapeError):
-            lstm_cell_forward(Tensor(np.zeros((2, 4), np.float32)),
-                              Tensor(np.zeros((2, 2), np.float32)),
-                              Tensor(np.zeros((2, 2), np.float32)),
-                              w)
+            lstm_cell_forward(np.zeros((2, 6), np.float32),
+                              np.zeros((2, 2), np.float32))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bf16emu import netgraph
 from bf16emu.kernels import ActivationKind, PoolKind
 from bf16emu.netgraph import (
     Activation,
@@ -221,6 +222,8 @@ class TestBackward:
         assert_grads_close(dx.data, fd_grad(loss, x.copy()))
 
     def test_lstm_network_gradient(self):
+        # dx and the gradients of both LSTM weights and its bias, over
+        # four time steps, against finite differences of the loss.
         rng = np.random.default_rng(23)
         specs = [Lstm(2, 3), Dense(3, 1)]
         net = build_network(specs, QuantPolicy.fp32(), RngStream(13))
@@ -228,6 +231,7 @@ class TestBackward:
         dy = rng.standard_normal((2, 1)).astype(np.float32)
 
         def loss(xv):
+            net.refresh_shadows()
             out, _ = net.forward(Tensor(xv), train=False)
             return float((out.data.astype(np.float64) * dy).sum())
 
@@ -235,6 +239,17 @@ class TestBackward:
         net.zero_grads()
         dx = net.backward(tape, Tensor(dy))
         assert_grads_close(dx.data, fd_grad(loss, x.copy()))
+        w_ih, w_hh = net.layers[0].params
+        for param, grad in ((w_ih.master.data, w_ih.grad),
+                            (w_hh.master.data, w_hh.grad),
+                            (w_ih.bias.data, w_ih.bias_grad)):
+            assert np.any(grad != 0.0)
+            # fd_grad perturbs the parameter in place; loss() refreshes
+            # the shadows, which under FP32 copy the masters.  These
+            # gradients are below 1, where the default tolerance is
+            # absolute; the differences here are within 8e-5.
+            assert_grads_close(grad, fd_grad(lambda _: loss(x), param),
+                               tol=2.5e-4)
 
     def test_conv_pool_flatten_network_gradient(self):
         rng = np.random.default_rng(24)
@@ -318,46 +333,66 @@ class TestUnderflowAccounting:
 
 
 class TestLstmQuantization:
-    """The lstm rule alone decides how the cell's inputs and its
-    gate-preactivation error gradients are quantized."""
+    """Inside its recurrence the LSTM quantizes the hidden state it feeds
+    back (act) and its gate-preactivation error gradients (err)."""
 
     N, T, I, H = 3, 4, 2, 5
 
-    def run(self, policy):
+    def run(self, policy, monkeypatch=None):
+        """Forward and backward of [Lstm, Dense]; returns the step caches,
+        the stats and the shapes passed to quantize_tensor by each pass."""
         net = build_network([Lstm(self.I, self.H), Dense(self.H, 2)],
                             policy, RngStream(29))
         rng = np.random.default_rng(30)
         x = Tensor(rng.standard_normal(
             (self.N, self.T, self.I)).astype(np.float32))
         dy = Tensor(rng.standard_normal((self.N, 2)).astype(np.float32))
+        shapes = []
+        if monkeypatch is not None:
+            def recording(t, *args):
+                shapes.append(t.shape)
+                return quantize_tensor(t, *args)
+            monkeypatch.setattr(netgraph, "quantize_tensor", recording)
         _, tape = net.forward(x, train=True)
+        forward_shapes = list(shapes)
         stats = QuantStats()
         net.zero_grads()
         net.backward(tape, dy, stats=stats)
         steps, _ = tape.caches[0]
-        return steps, stats
+        return steps, stats, forward_shapes, shapes[len(forward_shapes):]
+
+    def test_quantize_calls_per_step(self, monkeypatch):
+        n, t, i, h = self.N, self.T, self.I, self.H
+        _, _, fwd, bwd = self.run(QuantPolicy.bf16(), monkeypatch)
+        # Forward: the network input, one (N, H) hidden state per step,
+        # then the outputs of both layers.
+        assert fwd == [(n, t, i)] + [(n, h)] * t + [(n, h), (n, 2)]
+        # Backward: the gradients entering Dense and the LSTM, then one
+        # (N, 4H) gate gradient per step.
+        assert bwd == [(n, 2), (n, h)] + [(n, 4 * h)] * t
 
     def test_error_grads_recorded_once_per_step(self):
-        policy = QuantPolicy.fp16()
-        _, on = self.run(policy)
-        _, off = self.run(policy.with_rule("lstm",
-                                           quantize_error_grads=False))
+        _, stats, _, _ = self.run(QuantPolicy.fp16())
         n, t, h = self.N, self.T, self.H
-        # dy entering the layer, then the (N, 4H) gate gradient per step,
-        # less its forget-gate block at step 0: the cell starts from
-        # c = 0, so that block is exactly zero and is not counted.
-        assert on.nonzero - off.nonzero == n * h + t * n * 4 * h - n * h
+        # dy entering Dense, dy entering the layer, then the (N, 4H) gate
+        # gradient per step, less its forget-gate block at step 0: the
+        # cell starts from c = 0, so that block is exactly zero and is
+        # not counted.
+        assert stats.nonzero == n * 2 + n * h + t * n * 4 * h - n * h
 
     def test_cell_inputs_follow_activation_rule(self):
-        policy = QuantPolicy.bf16()
-        steps, _ = self.run(policy)
+        steps, _, _, _ = self.run(QuantPolicy.bf16())
         assert len(steps) == self.T
-        assert all(c["xq"].tag is Precision.BF16 for c in steps)
-        assert all(c["hq"].tag is Precision.BF16 for c in steps)
-        steps, _ = self.run(policy.with_rule("lstm",
-                                             quantize_activations=False))
-        assert all(c["xq"].tag is Precision.FP32 for c in steps)
-        assert all(c["hq"].tag is Precision.FP32 for c in steps)
+        for xt, hq, _ in steps:
+            for v in (xt, hq):
+                q = quantize_tensor(Tensor(v), Precision.BF16).data
+                assert np.array_equal(v.view(np.uint32), q.view(np.uint32))
+        # Under FP32 nothing is rounded: the fed-back state is the
+        # cell's own output.
+        steps, _, _, _ = self.run(QuantPolicy.fp32())
+        for (_, _, cell), (_, hq, _) in zip(steps, steps[1:]):
+            *_, o, c = cell
+            assert np.array_equal(hq, o * np.tanh(c).astype(np.float32))
 
 
 class TestQuantizationPlacement:

@@ -16,6 +16,7 @@ from bf16emu.numerics import (
     Fp16Bits,
     FpClass,
     RoundingMode,
+    SubnormalPolicy,
     bf16_to_f32,
     bf16_to_f32_array,
     classify,
@@ -198,6 +199,15 @@ class TestFormatLimits:
     def test_only_table_rows_instantiable(self):
         with pytest.raises(ValueError):
             FormatSpec("fp8", 4, 3, 7)
+
+    @pytest.mark.parametrize("row", [(5, 10, 15), (8, 23, 127)],
+                             ids=["fp16", "fp32"])
+    def test_flush_to_zero_only_on_bf16_row(self, row):
+        # fp16 narrowing keeps subnormals (1e-6 stays ~1.01e-6), so an
+        # FTZ fp16 spec would report min_subnormal=None and not flush.
+        with pytest.raises(ValueError, match="flush-to-zero"):
+            FormatSpec("x", *row, SubnormalPolicy.FLUSH_TO_ZERO)
+        FormatSpec("x", *row, SubnormalPolicy.SUPPORTED)
 
 
 class TestClassify:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from bf16emu.numerics import BF16_SPEC, RoundingMode
 from bf16emu.tensor import (
     BadMagicError,
     HeNormal,
-    LAYER_CLASSES,
     Precision,
     QuantPolicy,
     RngStream,
@@ -178,27 +179,14 @@ class TestQuantPolicy:
     def test_defaults(self):
         p = QuantPolicy.bf16()
         assert p.precision is Precision.BF16
+        assert p.mode is RNE
         assert not p.identity
-        for name in LAYER_CLASSES:
-            rule = p.rule(name)
-            if name == "batchnorm":
-                assert not rule.quantize_weights
-                assert rule.quantize_activations
-                assert not rule.quantize_error_grads
-            else:
-                assert rule.quantize_weights
-                assert rule.quantize_activations
-                assert rule.quantize_error_grads
+        # Format and rounding are all a policy sets; which tensors are
+        # quantized is fixed by the network's dataflow.
+        assert [f.name for f in dataclasses.fields(QuantPolicy)] == [
+            "precision", "mode"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.precision = Precision.FP16
 
     def test_fp32_identity(self):
         assert QuantPolicy.fp32().identity
-
-    def test_with_rule(self):
-        p = QuantPolicy.fp16().with_rule("gemm", quantize_error_grads=False)
-        assert not p.rule("gemm").quantize_error_grads
-        assert p.rule("gemm").quantize_weights
-        assert p.rule("conv").quantize_error_grads
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError):
-            QuantPolicy.bf16().with_rule("attention", quantize_weights=False)

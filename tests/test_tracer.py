@@ -42,12 +42,19 @@ def test_detail_tracer_installs_and_uninstalls():
         kernels.pool_backward(PoolKind.MAX, Tensor(np.ones((1, 1, 2, 2))),
                               cache)
         kernels._im2col(x.data, ConvSpec(2, 2))
+        c = np.zeros((2, 3), np.float32)
+        _, _, cell = kernels.lstm_cell_forward(np.ones((2, 12), np.float32),
+                                               c)
+        kernels.lstm_cell_backward(np.ones_like(c), c, cell)
     finally:
         tracer.uninstall()
     for name in HOOKED:
         assert getattr(kernels, name) is originals[name]
     assert tensor.quantize_tensor is quantize
     # Pooling shares the window code of _im2col/_col2im, not those names,
-    # so its span stays a leaf and the two figures do not overlap.
+    # so its span stays a leaf and the two figures do not overlap.  The
+    # LSTM cell is gate arithmetic: its GEMMs run in the layer around it,
+    # so its span is a leaf too.
     assert {key[:2] for key in tracer.agg} == {
-        ("kernels.pool", "kernels.pool"), ("kernels.im2col", "kernels.im2col")}
+        ("kernels.pool", "kernels.pool"), ("kernels.im2col", "kernels.im2col"),
+        ("kernels.lstm_cell", "kernels.lstm_cell")}
