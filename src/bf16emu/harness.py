@@ -223,23 +223,23 @@ def _network_specs(task: str):
 
 def _loss_and_grad(task_metric: str, output: Tensor, labels):
     """Returns (train loss, dlogits)."""
-    if task_metric == "accuracy":
-        return softmax_cross_entropy(output, labels)
     z = output.data.reshape(-1)
     n = z.shape[0]
-    if task_metric == "mse":
+    if task_metric == "accuracy":
+        loss, d = softmax_cross_entropy(output.data, labels)
+    elif task_metric == "mse":
         y = np.asarray(labels, np.float32).reshape(-1)
         diff = (z - y).astype(np.float32)
         loss = float((diff * diff).mean(dtype=np.float32))
         d = (np.float32(2.0 / n) * diff).astype(np.float32)
-        return loss, Tensor(d.reshape(output.shape))
-    if task_metric == "logloss":
+    elif task_metric == "logloss":
         y = np.asarray(labels, np.float32).reshape(-1)
         p = (1.0 / (1.0 + np.exp(-z.astype(np.float32)))).astype(np.float32)
         loss = binary_log_loss(p, y)
         d = ((p - y) / np.float32(n)).astype(np.float32)
-        return loss, Tensor(d.reshape(output.shape))
-    raise ConfigError(f"unknown metric {task_metric!r}")
+    else:
+        raise ConfigError(f"unknown metric {task_metric!r}")
+    return loss, Tensor(d.reshape(output.shape))
 
 
 def _eval_metric(net: Network, ds: Dataset, batch: int = 512) -> float:

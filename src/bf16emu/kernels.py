@@ -1,11 +1,12 @@
 """Forward/backward compute primitives with widened accumulation.
 
-Every kernel consumes FP32 arrays (possibly tagged as exactly
-representable in a 16-bit format) and accumulates in FP32.  Quantization
-happens at operator boundaries, decided by the caller; kernels know
-nothing about the policy and trust the tags they are given.  So the
-LSTM cell is gate arithmetic alone: the layer around it runs its GEMMs
-and quantizes the hidden state and the gate gradients between them.
+Every kernel takes plain float32 NumPy arrays, returns arrays (a loss
+also returns its value as a float) and accumulates in FP32.  Which of
+those arrays hold values exact in a 16-bit format, and where they are
+rounded, is decided by the network around the kernels; no kernel
+quantizes, and none knows the policy.  So the LSTM
+cell is gate arithmetic alone: the layer around it runs its GEMMs and
+quantizes the hidden state and the gate gradients between them.
 
 Reduction order is fixed so results are bit-reproducible.  The GEMM
 never calls BLAS, whose blocked sums take another order.  It adds one k
@@ -31,17 +32,14 @@ names times convolution alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import RngStream, ShapeError, Tensor
+from .tensor import RngStream, ShapeError
 
 __all__ = [
-    "ConvSpec",
-    "BatchNormState",
     "ActivationKind",
     "PoolKind",
     "conv2d_forward",
@@ -117,121 +115,94 @@ def _gemm_chunked(a: np.ndarray, b: np.ndarray, acc: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvSpec:
-    kh: int
-    kw: int
-    stride: int = 1
-    pad: int = 0
-    in_channels: int = 1
-    out_channels: int = 1
-
-    def out_extent(self, size: int, axis_k: int) -> int:
-        out = (size + 2 * self.pad - axis_k) // self.stride + 1
-        if out < 1:
-            raise ShapeError(f"conv output extent {out} < 1")
-        return out
+def _out_extent(size: int, k: int, stride: int, pad: int) -> int:
+    out = (size + 2 * pad - k) // stride + 1
+    if out < 1:
+        raise ShapeError(f"conv output extent {out} < 1")
+    return out
 
 
-def _windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Strided view (N, C, Ho, Wo, kh, kw) of the windows of padded x."""
-    ho = spec.out_extent(x.shape[2], spec.kh)
-    wo = spec.out_extent(x.shape[3], spec.kw)
-    p, s = spec.pad, spec.stride
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    return sliding_window_view(xp, (spec.kh, spec.kw), axis=(2, 3))[
-        :, :, :ho * s:s, :wo * s:s]
+def _windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """Strided view (N, C, Ho, Wo, k, k) of the windows of padded x."""
+    ho = _out_extent(x.shape[2], k, stride, pad)
+    wo = _out_extent(x.shape[3], k, stride, pad)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    return sliding_window_view(xp, (k, k), axis=(2, 3))[
+        :, :, :ho * stride:stride, :wo * stride:stride]
 
 
-def _scatter(wins: np.ndarray, x_shape, spec: ConvSpec) -> np.ndarray:
-    """Adjoint of _windows: adds wins (N, C, Ho, Wo, kh, kw) into a +0
+def _scatter(wins: np.ndarray, x_shape, stride: int, pad: int) -> np.ndarray:
+    """Adjoint of _windows: adds wins (N, C, Ho, Wo, k, k) into a +0
     image one (u, v) offset at a time, then drops the padding."""
     n, c, h, w = x_shape
-    ho, wo = wins.shape[2:4]
-    p, s = spec.pad, spec.stride
+    ho, wo, k = wins.shape[2:5]
+    p, s = pad, stride
     xp = np.zeros((n, c, h + 2 * p, w + 2 * p), np.float32)
-    for u in range(spec.kh):
-        for v in range(spec.kw):
+    for u in range(k):
+        for v in range(k):
             xp[:, :, u:u + ho * s:s, v:v + wo * s:s] += wins[..., u, v]
     if p:
         return xp[:, :, p:p + h, p:p + w].copy()
     return xp
 
 
-def _im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    wins = _windows(x, spec)
-    n, c, ho, wo, kh, kw = wins.shape
-    return wins.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    wins = _windows(x, k, stride, pad)
+    n, c, ho, wo = wins.shape[:4]
+    return wins.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * k * k)
 
 
-def _col2im(cols: np.ndarray, x_shape, spec: ConvSpec) -> np.ndarray:
+def _col2im(cols: np.ndarray, x_shape, k: int, stride: int,
+            pad: int) -> np.ndarray:
     n, c, h, w = x_shape
-    ho = spec.out_extent(h, spec.kh)
-    wo = spec.out_extent(w, spec.kw)
-    wins = cols.reshape(n, ho, wo, c, spec.kh, spec.kw).transpose(
-        0, 3, 1, 2, 4, 5)
-    return _scatter(wins, x_shape, spec)
+    ho = _out_extent(h, k, stride, pad)
+    wo = _out_extent(w, k, stride, pad)
+    wins = cols.reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    return _scatter(wins, x_shape, stride, pad)
 
 
-def _check_conv(x: Tensor, w: Tensor, spec: ConvSpec):
-    if x.data.ndim != 4 or w.data.ndim != 4:
+def _check_conv(x: np.ndarray, w: np.ndarray) -> tuple[int, int]:
+    """Returns (output channels, kernel size) of a square-kernel conv."""
+    if x.ndim != 4 or w.ndim != 4:
         raise ShapeError("conv expects NCHW input and FCkhkw weights")
-    n, c, h, wd = x.shape
-    f, cw, kh, kw = w.shape
-    if (c, f, kh, kw) != (spec.in_channels, spec.out_channels,
-                          spec.kh, spec.kw) or cw != c:
-        raise ShapeError(f"conv spec {spec} inconsistent with shapes "
-                         f"{x.shape} / {w.shape}")
+    f, c, kh, kw = w.shape
+    if kh != kw or x.shape[1] != c:
+        raise ShapeError(f"conv weights {w.shape} do not fit input "
+                         f"{x.shape}: need C to match and a square kernel")
+    return f, kh
 
 
-def conv2d_forward(x: Tensor, w: Tensor, spec: ConvSpec) -> Tensor:
+def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1,
+                   pad: int = 0) -> np.ndarray:
     """NCHW convolution as im2col followed by gemm (bit-exactly)."""
-    _check_conv(x, w, spec)
+    f, k = _check_conv(x, w)
     n, _, h, wd = x.shape
-    ho = spec.out_extent(h, spec.kh)
-    wo = spec.out_extent(wd, spec.kw)
-    cols = _im2col(x.data, spec)
-    wmat = w.data.reshape(spec.out_channels, -1)
-    out = _gemm(cols, wmat.T)
-    return Tensor(out.reshape(n, ho, wo, spec.out_channels)
-                  .transpose(0, 3, 1, 2).copy())
+    ho = _out_extent(h, k, stride, pad)
+    wo = _out_extent(wd, k, stride, pad)
+    out = _gemm(_im2col(x, k, stride, pad), w.reshape(f, -1).T)
+    return out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2).copy()
 
 
-def conv2d_backward(x: Tensor, w: Tensor, dy: Tensor, spec: ConvSpec):
+def conv2d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
+                    stride: int = 1, pad: int = 0):
     """Returns (dx, dw), both FP32."""
-    _check_conv(x, w, spec)
+    f, k = _check_conv(x, w)
     n, _, h, wd = x.shape
-    ho = spec.out_extent(h, spec.kh)
-    wo = spec.out_extent(wd, spec.kw)
-    if dy.shape != (n, spec.out_channels, ho, wo):
-        raise ShapeError(f"conv dy shape {dy.shape} != "
-                         f"{(n, spec.out_channels, ho, wo)}")
-    dy_mat = dy.data.transpose(0, 2, 3, 1).reshape(n * ho * wo,
-                                                   spec.out_channels)
-    wmat = w.data.reshape(spec.out_channels, -1)
-    cols = _im2col(x.data, spec)
-    dcols = _gemm(dy_mat, wmat)
-    dx = _col2im(dcols, x.shape, spec)
+    ho = _out_extent(h, k, stride, pad)
+    wo = _out_extent(wd, k, stride, pad)
+    if dy.shape != (n, f, ho, wo):
+        raise ShapeError(f"conv dy shape {dy.shape} != {(n, f, ho, wo)}")
+    dy_mat = dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
+    wmat = w.reshape(f, -1)
+    cols = _im2col(x, k, stride, pad)
+    dx = _col2im(_gemm(dy_mat, wmat), x.shape, k, stride, pad)
     dw = _gemm(dy_mat.T, cols).reshape(w.shape)
-    return Tensor(dx), Tensor(dw)
+    return dx, dw
 
 
 # ---------------------------------------------------------------------------
 # batch normalization (biased batch variance, per-channel)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class BatchNormState:
-    gamma: np.ndarray
-    beta: np.ndarray
-    eps: float = 1e-5
-
-    def __post_init__(self):
-        self.gamma = np.ascontiguousarray(self.gamma, np.float32)
-        self.beta = np.ascontiguousarray(self.beta, np.float32)
-        if self.eps <= 0:
-            raise ValueError("batchnorm eps must be positive")
 
 
 def _bn_axes(x: np.ndarray):
@@ -243,32 +214,34 @@ def _bn_axes(x: np.ndarray):
     raise ShapeError("batchnorm expects (N,C) or (N,C,H,W)")
 
 
-def batchnorm_forward(x: Tensor, state: BatchNormState):
-    axes, count, expand = _bn_axes(x.data)
+def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                      eps: float):
+    """Returns (y, cache); gamma and beta are per-channel scale and shift."""
+    axes, count, expand = _bn_axes(x)
     if count < 2:
         raise ShapeError("batchnorm needs at least 2 samples per channel")
-    mean = x.data.mean(axis=axes, dtype=np.float32)
-    var = x.data.var(axis=axes, dtype=np.float32)
-    inv_std = (1.0 / np.sqrt(var + np.float32(state.eps))).astype(np.float32)
-    xhat = (x.data - expand(mean)) * expand(inv_std)
-    y = xhat * expand(state.gamma) + expand(state.beta)
-    cache = (x.data, xhat, inv_std, expand, axes, count)
-    return Tensor(y.astype(np.float32)), cache
+    mean = x.mean(axis=axes, dtype=np.float32)
+    var = x.var(axis=axes, dtype=np.float32)
+    inv_std = (1.0 / np.sqrt(var + np.float32(eps))).astype(np.float32)
+    xhat = (x - expand(mean)) * expand(inv_std)
+    y = xhat * expand(gamma) + expand(beta)
+    cache = (x, xhat, inv_std, expand, axes, count)
+    return y.astype(np.float32), cache
 
 
-def batchnorm_backward(dy: Tensor, state: BatchNormState, cache):
+def batchnorm_backward(dy: np.ndarray, gamma: np.ndarray, cache):
+    """Returns (dx, dgamma, dbeta), all FP32."""
     x, xhat, inv_std, expand, axes, count = cache
-    if dy.data.shape != x.shape:
+    if dy.shape != x.shape:
         raise ShapeError(f"batchnorm dy shape {dy.shape} != {x.shape}")
-    g = dy.data
-    dgamma = (g * xhat).sum(axis=axes, dtype=np.float32)
-    dbeta = g.sum(axis=axes, dtype=np.float32)
+    dgamma = (dy * xhat).sum(axis=axes, dtype=np.float32)
+    dbeta = dy.sum(axis=axes, dtype=np.float32)
     m = np.float32(count)
-    dxhat = g * expand(state.gamma)
+    dxhat = dy * expand(gamma)
     term = (dxhat - expand(dxhat.sum(axis=axes, dtype=np.float32)) / m
             - xhat * expand((dxhat * xhat).sum(axis=axes, dtype=np.float32)) / m)
     dx = term * expand(inv_std)
-    return Tensor(dx.astype(np.float32)), dgamma.astype(np.float32), \
+    return dx.astype(np.float32), dgamma.astype(np.float32), \
         dbeta.astype(np.float32)
 
 
@@ -288,36 +261,33 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return (1.0 / (1.0 + np.exp(-v.astype(np.float32)))).astype(np.float32)
 
 
-def activation_forward(kind: ActivationKind, x: Tensor,
-                       alpha: float = 0.01) -> Tensor:
-    v = x.data
+def activation_forward(kind: ActivationKind, x: np.ndarray,
+                       alpha: float = 0.01) -> np.ndarray:
     if kind is ActivationKind.RELU:
-        return Tensor(np.maximum(v, np.float32(0)))
+        return np.maximum(x, np.float32(0))
     if kind is ActivationKind.LEAKY_RELU:
-        return Tensor(np.where(v > 0, v, np.float32(alpha) * v))
+        return np.where(x > 0, x, np.float32(alpha) * x)
     if kind is ActivationKind.SIGMOID:
-        return Tensor(_sigmoid(v))
+        return _sigmoid(x)
     if kind is ActivationKind.TANH:
-        return Tensor(np.tanh(v).astype(np.float32))
+        return np.tanh(x).astype(np.float32)
     raise ValueError(f"unknown activation {kind}")
 
 
-def activation_backward(kind: ActivationKind, x: Tensor, dy: Tensor,
-                        alpha: float = 0.01) -> Tensor:
+def activation_backward(kind: ActivationKind, x: np.ndarray, dy: np.ndarray,
+                        alpha: float = 0.01) -> np.ndarray:
     if x.shape != dy.shape:
         raise ShapeError("activation backward shape mismatch")
-    v = x.data
-    g = dy.data
     if kind is ActivationKind.RELU:
-        return Tensor(np.where(v > 0, g, np.float32(0)))
+        return np.where(x > 0, dy, np.float32(0))
     if kind is ActivationKind.LEAKY_RELU:
-        return Tensor(np.where(v > 0, g, np.float32(alpha) * g))
+        return np.where(x > 0, dy, np.float32(alpha) * dy)
     if kind is ActivationKind.SIGMOID:
-        s = _sigmoid(v)
-        return Tensor(g * s * (np.float32(1) - s))
+        s = _sigmoid(x)
+        return dy * s * (np.float32(1) - s)
     if kind is ActivationKind.TANH:
-        t = np.tanh(v).astype(np.float32)
-        return Tensor(g * (np.float32(1) - t * t))
+        t = np.tanh(x).astype(np.float32)
+        return dy * (np.float32(1) - t * t)
     raise ValueError(f"unknown activation {kind}")
 
 
@@ -331,10 +301,9 @@ class PoolKind(Enum):
     AVG = "avg"
 
 
-def pool_forward(kind: PoolKind, x: Tensor, window: int, stride: int):
+def pool_forward(kind: PoolKind, x: np.ndarray, window: int, stride: int):
     """Returns (y, cache); max pooling records first row-major winner."""
-    spec = ConvSpec(window, window, stride)
-    wins = _windows(x.data, spec)
+    wins = _windows(x, window, stride, 0)
     wins = wins.reshape(wins.shape[:4] + (window * window,))
     if kind is PoolKind.MAX:
         arg = np.argmax(wins, axis=-1)
@@ -342,29 +311,27 @@ def pool_forward(kind: PoolKind, x: Tensor, window: int, stride: int):
     else:
         arg = None
         y = wins.mean(axis=-1, dtype=np.float32)
-    return Tensor(y), (kind, x.shape, spec, arg)
+    return y, (kind, x.shape, window, stride, arg)
 
 
-def pool_backward(kind: PoolKind, dy: Tensor, cache) -> Tensor:
+def pool_backward(dy: np.ndarray, cache) -> np.ndarray:
     """Scatters dy back over the windows: to each max window's winner (the
     other window positions carry +0), or as dy / window**2 to all."""
-    ckind, x_shape, spec, arg = cache
-    if kind is not ckind:
-        raise ShapeError("pool kind does not match cache")
+    kind, x_shape, window, stride, arg = cache
     n, c, h, w = x_shape
-    ho = spec.out_extent(h, spec.kh)
-    wo = spec.out_extent(w, spec.kw)
+    ho = _out_extent(h, window, stride, 0)
+    wo = _out_extent(w, window, stride, 0)
     if dy.shape != (n, c, ho, wo):
         raise ShapeError(f"pool dy shape {dy.shape} != {(n, c, ho, wo)}")
-    k = spec.kh * spec.kw
+    k = window * window
     if kind is PoolKind.MAX:
         wins = np.zeros((n, c, ho, wo, k), np.float32)
-        np.put_along_axis(wins, arg[..., None], dy.data[..., None], axis=-1)
+        np.put_along_axis(wins, arg[..., None], dy[..., None], axis=-1)
     else:
-        share = (dy.data / np.float32(k)).astype(np.float32)
+        share = (dy / np.float32(k)).astype(np.float32)
         wins = np.broadcast_to(share[..., None], (n, c, ho, wo, k))
-    return Tensor(_scatter(wins.reshape(n, c, ho, wo, spec.kh, spec.kw),
-                           x_shape, spec))
+    return _scatter(wins.reshape(n, c, ho, wo, window, window), x_shape,
+                    stride, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +339,13 @@ def pool_backward(kind: PoolKind, dy: Tensor, cache) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def dropout(x: Tensor, p: float, rng: RngStream):
+def dropout(x: np.ndarray, p: float, rng: RngStream):
     """Inverted dropout; returns (y, mask).  Deterministic per stream."""
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must satisfy 0 <= p < 1")
-    if p == 0.0:
-        return x.copy(), np.ones(x.shape, np.float32)
     keep = (rng.generator().random(x.shape) >= p).astype(np.float32)
     scale = np.float32(1.0 / (1.0 - p))
-    return Tensor(x.data * keep * scale), keep
+    return x * keep * scale, keep
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +353,11 @@ def dropout(x: Tensor, p: float, rng: RngStream):
 # ---------------------------------------------------------------------------
 
 
-def softmax_cross_entropy(logits: Tensor, labels):
+def softmax_cross_entropy(z: np.ndarray, labels):
     """Mean cross entropy over the batch, stabilized by max subtraction.
 
     Returns (loss, dlogits) with dlogits = (softmax - onehot) / N.
     """
-    z = logits.data
     if z.ndim != 2:
         raise ShapeError("softmax expects (N, C) logits")
     n, c = z.shape
@@ -411,7 +375,7 @@ def softmax_cross_entropy(logits: Tensor, labels):
     d = probs.astype(np.float32)
     d[np.arange(n), labels] -= np.float32(1)
     d /= np.float32(n)
-    return loss, Tensor(d)
+    return loss, d
 
 
 def binary_log_loss(p, y) -> float:

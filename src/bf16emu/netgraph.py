@@ -2,12 +2,14 @@
 
 Parameters live as {FP32 master, quantized shadow, FP32 gradient}; bias
 tensors never pass through quantization.  Layers do only arithmetic and
-caching.  `Network` quantizes at layer boundaries: the network input,
-each layer's output and the error gradient entering each layer.  Only
-the LSTM quantizes inside itself, in its recurrence: the hidden state
-it feeds back and its gate gradients.  Every quantization, shadow
-weights included, goes through `_quantize`, and which tensors it skips
-is one fixed table, `_FP32_ROLES`.  The policy sets only the format and
+caching: they hand the kernels plain arrays and wrap the results in
+`Tensor`, so the precision tag is kept here, not in the kernels.
+`Network` quantizes at layer boundaries: the network input, each
+layer's output and the error gradient entering each layer.  Only the
+LSTM quantizes inside itself, in its recurrence: the hidden state it
+feeds back and its gate gradients.  Every quantization, shadow weights
+included, goes through `_quantize`, and which tensors it skips is one
+fixed table, `_FP32_ROLES`.  The policy sets only the format and
 rounding; with an FP32 policy `_quantize` is the identity and the
 engine is a plain FP32 network.
 """
@@ -19,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as K
-from .kernels import (
-    ActivationKind,
-    BatchNormState,
-    ConvSpec,
-    PoolKind,
-)
+from .kernels import ActivationKind, PoolKind
 from .tensor import (
     HeNormal,
     Precision,
@@ -82,6 +79,10 @@ class Conv2d:
 class BatchNorm:
     channels: int
     eps: float = 1e-5
+
+    def __post_init__(self):
+        if self.eps <= 0:
+            raise ValueError("batchnorm eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,7 @@ class QuantStats:
 class Tape:
     """Per-forward cache of layer inputs/outputs; consumed once."""
 
-    def __init__(self, train: bool):
-        self.train = train
+    def __init__(self):
         self.caches: list = []
         self.outputs: list[Tensor] = []
         self.consumed = False
@@ -168,9 +168,9 @@ class Tape:
 @dataclass
 class _Ctx:
     policy: QuantPolicy
-    train: bool
-    rng: RngStream | None
-    stats: QuantStats | None
+    train: bool = False
+    rng: RngStream | None = None
+    stats: QuantStats | None = None
 
 
 # Roles ("weight", "act", "err") a layer class keeps in FP32; every other
@@ -260,8 +260,6 @@ class _ConvLayer(_Layer):
     def __init__(self, index, spec: Conv2d, rng: RngStream):
         super().__init__(index)
         self.spec = spec
-        self.conv = ConvSpec(spec.kernel, spec.kernel, spec.stride,
-                             spec.pad, spec.in_channels, spec.out_channels)
         fan_in = spec.in_channels * spec.kernel * spec.kernel
         w = init_tensor((spec.out_channels, spec.in_channels,
                          spec.kernel, spec.kernel), HeNormal(fan_in),
@@ -277,20 +275,21 @@ class _ConvLayer(_Layer):
 
     def forward(self, x, ctx, tape):
         ps = self.params[0]
-        y = K.conv2d_forward(x, ps.shadow, self.conv)
+        y = K.conv2d_forward(x.data, ps.shadow.data, self.spec.stride,
+                             self.spec.pad)
         if ps.bias is not None:
-            y = Tensor(y.data + ps.bias.data[:, None, None])
-        tape.caches.append(x)
-        return y
+            y = y + ps.bias.data[:, None, None]
+        tape.caches.append(x.data)
+        return Tensor(y)
 
     def backward(self, dy, ctx, cache):
-        x = cache
         ps = self.params[0]
-        dx, dw = K.conv2d_backward(x, ps.shadow, dy, self.conv)
-        ps.grad += dw.data
+        dx, dw = K.conv2d_backward(cache, ps.shadow.data, dy.data,
+                                   self.spec.stride, self.spec.pad)
+        ps.grad += dw
         if ps.bias is not None:
             ps.bias_grad += dy.data.sum(axis=(0, 2, 3), dtype=np.float32)
-        return dx
+        return Tensor(dx)
 
 
 class _BatchNormLayer(_Layer):
@@ -308,18 +307,18 @@ class _BatchNormLayer(_Layer):
 
     def forward(self, x, ctx, tape):
         ps = self.params[0]
-        state = BatchNormState(ps.shadow.data, ps.bias.data, self.spec.eps)
-        y, cache = K.batchnorm_forward(x, state)
-        tape.caches.append((state, cache))
-        return y
+        y, cache = K.batchnorm_forward(x.data, ps.shadow.data, ps.bias.data,
+                                       self.spec.eps)
+        tape.caches.append(cache)
+        return Tensor(y)
 
     def backward(self, dy, ctx, cache):
-        state, bn_cache = cache
-        dx, dgamma, dbeta = K.batchnorm_backward(dy, state, bn_cache)
         ps = self.params[0]
+        dx, dgamma, dbeta = K.batchnorm_backward(dy.data, ps.shadow.data,
+                                                 cache)
         ps.grad += dgamma
         ps.bias_grad += dbeta
-        return dx
+        return Tensor(dx)
 
 
 class _ActivationLayer(_Layer):
@@ -330,12 +329,13 @@ class _ActivationLayer(_Layer):
         self.spec = spec
 
     def forward(self, x, ctx, tape):
-        tape.caches.append(x)
-        return K.activation_forward(self.spec.kind, x, self.spec.alpha)
+        tape.caches.append(x.data)
+        return Tensor(K.activation_forward(self.spec.kind, x.data,
+                                           self.spec.alpha))
 
     def backward(self, dy, ctx, cache):
-        return K.activation_backward(self.spec.kind, cache, dy,
-                                     self.spec.alpha)
+        return Tensor(K.activation_backward(self.spec.kind, cache, dy.data,
+                                            self.spec.alpha))
 
 
 class _PoolLayer(_Layer):
@@ -346,13 +346,13 @@ class _PoolLayer(_Layer):
         self.spec = spec
 
     def forward(self, x, ctx, tape):
-        y, cache = K.pool_forward(self.spec.kind, x, self.spec.window,
+        y, cache = K.pool_forward(self.spec.kind, x.data, self.spec.window,
                                   self.spec.stride)
         tape.caches.append(cache)
-        return y
+        return Tensor(y)
 
     def backward(self, dy, ctx, cache):
-        return K.pool_backward(self.spec.kind, dy, cache)
+        return Tensor(K.pool_backward(dy.data, cache))
 
 
 class _DropoutLayer(_Layer):
@@ -368,9 +368,9 @@ class _DropoutLayer(_Layer):
             return x
         if ctx.rng is None:
             raise ValueError("dropout in train mode needs a step rng")
-        y, mask = K.dropout(x, self.spec.p, ctx.rng.child(self.index))
+        y, mask = K.dropout(x.data, self.spec.p, ctx.rng.child(self.index))
         tape.caches.append(mask)
-        return y
+        return Tensor(y)
 
     def backward(self, dy, ctx, cache):
         if cache is None:
@@ -504,7 +504,7 @@ class Network:
 
     def refresh_shadows(self):
         """Re-quantize every master into its shadow; bias stays FP32."""
-        ctx = _Ctx(self.policy, False, None, None)
+        ctx = _Ctx(self.policy)
         for layer in self.layers:
             for ps in layer.params:
                 q = _quantize(ps.master, ctx, layer.layer_class, "weight")
@@ -523,7 +523,7 @@ class Network:
                 step_rng: RngStream | None = None,
                 stats: QuantStats | None = None):
         ctx = _Ctx(self.policy, train, step_rng, stats)
-        tape = Tape(train)
+        tape = Tape()
         out = x
         if self.layers:
             out = _quantize(x, ctx, self.layers[0].layer_class, "act")
@@ -541,7 +541,7 @@ class Network:
         if tape.outputs and dy.shape != tape.outputs[-1].shape:
             raise ShapeError(f"dy shape {dy.shape} != output shape "
                              f"{tape.outputs[-1].shape}")
-        ctx = _Ctx(self.policy, tape.train, None, stats)
+        ctx = _Ctx(self.policy, stats=stats)
         pending: dict[int, np.ndarray] = {}
         grad = dy
         for i in range(len(self.layers) - 1, -1, -1):

@@ -22,8 +22,6 @@ from bf16emu.harness import (
 )
 from bf16emu.kernels import (
     ActivationKind,
-    BatchNormState,
-    ConvSpec,
     PoolKind,
     activation_backward,
     activation_forward,
@@ -195,28 +193,27 @@ def test_criterion_05_gradient_checks():
         # conv
         x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
         w = (rng.standard_normal((2, 2, 3, 3)) * 0.5).astype(np.float32)
-        spec = ConvSpec(3, 3, pad=1, in_channels=2, out_channels=2)
         dy = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
-        dx, dw = conv2d_backward(Tensor(x), Tensor(w), Tensor(dy), spec)
-        assert_grads_close(dx.data, fd_grad(
-            lambda v: float((conv2d_forward(Tensor(v), Tensor(w), spec)
-                             .data.astype(np.float64) * dy).sum()), x.copy()))
-        assert_grads_close(dw.data, fd_grad(
-            lambda v: float((conv2d_forward(Tensor(x), Tensor(v), spec)
-                             .data.astype(np.float64) * dy).sum()), w.copy()))
+        dx, dw = conv2d_backward(x, w, dy, pad=1)
+        assert_grads_close(dx, fd_grad(
+            lambda v: float((conv2d_forward(v, w, pad=1)
+                             .astype(np.float64) * dy).sum()), x.copy()))
+        assert_grads_close(dw, fd_grad(
+            lambda v: float((conv2d_forward(x, v, pad=1)
+                             .astype(np.float64) * dy).sum()), w.copy()))
 
         # batchnorm
         xb = rng.standard_normal((4, 3)).astype(np.float32)
         dyb = rng.standard_normal((4, 3)).astype(np.float32)
-        st = BatchNormState(np.ones(3), np.zeros(3))
-        _, cache = batchnorm_forward(Tensor(xb), st)
-        dxb, _, _ = batchnorm_backward(Tensor(dyb), st, cache)
+        gamma = np.ones(3, np.float32)
+        beta = np.zeros(3, np.float32)
+        _, cache = batchnorm_forward(xb, gamma, beta, 1e-5)
+        dxb, _, _ = batchnorm_backward(dyb, gamma, cache)
 
         def bn_loss(v):
-            s = BatchNormState(np.ones(3), np.zeros(3))
-            y, _ = batchnorm_forward(Tensor(v), s)
-            return float((y.data.astype(np.float64) * dyb).sum())
-        assert_grads_close(dxb.data, fd_grad(bn_loss, xb.copy()))
+            y, _ = batchnorm_forward(v, gamma, beta, 1e-5)
+            return float((y.astype(np.float64) * dyb).sum())
+        assert_grads_close(dxb, fd_grad(bn_loss, xb.copy()))
 
         # activations
         kind = list(ActivationKind)[seed % 4]
@@ -225,10 +222,10 @@ def test_criterion_05_gradient_checks():
         # central differences straddle the non-smooth point
         xa = np.where(np.abs(xa) < 0.05, np.float32(0.3), xa)
         dya = rng.standard_normal(16).astype(np.float32)
-        dxa = activation_backward(kind, Tensor(xa), Tensor(dya))
-        assert_grads_close(dxa.data, fd_grad(
-            lambda v: float((activation_forward(kind, Tensor(v))
-                             .data.astype(np.float64) * dya).sum()),
+        dxa = activation_backward(kind, xa, dya)
+        assert_grads_close(dxa, fd_grad(
+            lambda v: float((activation_forward(kind, v)
+                             .astype(np.float64) * dya).sum()),
             xa.copy()))
 
         # pooling (distinct values keep the max winner stable)
@@ -236,24 +233,22 @@ def test_criterion_05_gradient_checks():
         xp = (rng.permutation(16).astype(np.float32) * 0.25).reshape(
             1, 1, 4, 4)
         dyp = rng.standard_normal((1, 1, 2, 2)).astype(np.float32)
-        _, cache = pool_forward(kind, Tensor(xp), 2, 2)
-        dxp = pool_backward(kind, Tensor(dyp), cache)
+        _, cache = pool_forward(kind, xp, 2, 2)
+        dxp = pool_backward(dyp, cache)
 
         def pool_loss(v, kind=kind):
-            y, _ = pool_forward(kind, Tensor(v), 2, 2)
-            return float((y.data.astype(np.float64) * dyp).sum())
+            y, _ = pool_forward(kind, v, 2, 2)
+            return float((y.astype(np.float64) * dyp).sum())
         # pooling is piecewise linear and window entries differ by
         # >= 0.25, so a large step is exact and drowns fp32 noise
-        assert_grads_close(dxp.data, fd_grad(pool_loss, xp.copy(),
-                                             h_rel=1e-2))
+        assert_grads_close(dxp, fd_grad(pool_loss, xp.copy(), h_rel=1e-2))
 
         # softmax cross entropy
         z = rng.standard_normal((4, 3)).astype(np.float32)
         labels = rng.integers(0, 3, 4)
-        _, d = softmax_cross_entropy(Tensor(z), labels)
-        assert_grads_close(d.data, fd_grad(
-            lambda v: softmax_cross_entropy(Tensor(v), labels)[0],
-            z.copy()))
+        _, d = softmax_cross_entropy(z, labels)
+        assert_grads_close(d, fd_grad(
+            lambda v: softmax_cross_entropy(v, labels)[0], z.copy()))
 
         # lstm layer over three steps (gate arithmetic and its GEMMs)
         lstm = build_network([Lstm(2, 2), Dense(2, 1)], pol,

@@ -71,6 +71,11 @@ class TestBuild:
             build_network([Dense(2, 2), EltwiseAdd(source=1)],
                           QuantPolicy.fp32(), RngStream(0))
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-5])
+    def test_batchnorm_eps_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            BatchNorm(3, eps=eps)
+
 
 class TestFp32Identity:
     """With an FP32 policy the engine is a plain FP32 network: 100 SGD
