@@ -10,15 +10,15 @@ import numpy as np
 
 from bf16emu.numerics import (
     RoundingMode,
-    bf16_to_f32,
-    f32_to_bf16,
-    f32_to_fp16,
-    fp16_to_f32,
+    bf16_to_f32_array,
+    f32_to_bf16_array,
+    f32_to_fp16_array,
+    fp16_to_f32_array,
 )
 
 
 def bits16(v):
-    return f"0x{v.bits:04X}"
+    return f"0x{int(v):04X}"
 
 
 def main():
@@ -30,16 +30,15 @@ def main():
         np.float32(np.pi),
     ]
     for x in cases:
-        rne = f32_to_bf16(x, RoundingMode.NEAREST_EVEN)
-        trn = f32_to_bf16(x, RoundingMode.TRUNCATE)
+        rne = f32_to_bf16_array(x, RoundingMode.NEAREST_EVEN)
+        trn = f32_to_bf16_array(x, RoundingMode.TRUNCATE)
         print(f"  {float(x):.9f}: rne -> {bits16(rne)} "
-              f"({float(bf16_to_f32(rne)):.9f}), "
-              f"trunc -> {bits16(trn)} ({float(bf16_to_f32(trn)):.9f})")
+              f"({float(bf16_to_f32_array(rne)):.9f}), "
+              f"trunc -> {bits16(trn)} ({float(bf16_to_f32_array(trn)):.9f})")
 
     print("\nfp16 underflow, step by step:")
     for v in [1e-4, 6.2e-5, 1e-5, 1e-7, 1e-8]:
-        h = f32_to_fp16(np.float32(v))
-        back = float(fp16_to_f32(h))
+        back = float(fp16_to_f32_array(f32_to_fp16_array(np.float32(v))))
         note = "subnormal" if 0 < back < 6.1e-5 else \
             ("flushed to zero" if back == 0.0 else "normal")
         rel = abs(back - v) / v if back else 1.0

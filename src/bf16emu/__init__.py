@@ -2,31 +2,18 @@
 
 Quantized tensors stay in FP32 storage with every element exactly
 representable in the tagged 16-bit format, so FP32 arithmetic reproduces
-16-bit-input / FP32-accumulator kernels bit for bit.
+16-bit-input / FP32-accumulator kernels bit for bit.  `Precision` names
+the formats; the ``*_array`` functions in `numerics` convert FP32 values
+to and from bf16 (which flushes subnormals) and fp16 bit patterns.
 """
 
 from .numerics import (
-    BF16_SPEC,
-    BF16_SPEC_SUBNORMAL,
-    Bf16Bits,
-    FP16_SPEC,
-    FP32_SPEC,
     FormatLimits,
-    FormatSpec,
-    Fp16Bits,
-    FpClass,
+    Precision,
     RoundingMode,
-    SubnormalPolicy,
-    bf16_to_f32,
-    classify,
-    f32_to_bf16,
-    f32_to_fp16,
     format_limits,
-    fp16_to_f32,
-    quantize_scalar,
 )
 from .tensor import (
-    Precision,
     QuantPolicy,
     RngStream,
     Tensor,
@@ -34,27 +21,12 @@ from .tensor import (
 )
 
 __all__ = [
-    "BF16_SPEC",
-    "BF16_SPEC_SUBNORMAL",
-    "Bf16Bits",
-    "FP16_SPEC",
-    "FP32_SPEC",
     "FormatLimits",
-    "FormatSpec",
-    "Fp16Bits",
-    "FpClass",
     "Precision",
     "QuantPolicy",
     "RngStream",
     "RoundingMode",
-    "SubnormalPolicy",
     "Tensor",
-    "bf16_to_f32",
-    "classify",
-    "f32_to_bf16",
-    "f32_to_fp16",
     "format_limits",
-    "fp16_to_f32",
-    "quantize_scalar",
     "quantize_tensor",
 ]

@@ -17,7 +17,7 @@ from .harness import (
     config_from_mapping,
     parse_config_file,
 )
-from .numerics import BF16_SPEC, BF16_SPEC_SUBNORMAL, FP16_SPEC, FP32_SPEC, format_limits
+from .numerics import Precision, format_limits
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,15 +97,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_limits() -> int:
-    rows = [("fp32", FP32_SPEC), ("fp16", FP16_SPEC), ("bf16", BF16_SPEC),
-            ("bf16-subnormal", BF16_SPEC_SUBNORMAL)]
     print(f"{'format':<15}{'max_normal':<15}{'min_normal':<15}"
           f"{'min_subnormal':<15}{'epsilon':<12}")
-    for name, spec in rows:
-        lim = format_limits(spec)
+    for precision in (Precision.FP32, Precision.FP16, Precision.BF16):
+        lim = format_limits(precision)
         sub = "N/A" if lim.min_subnormal is None else f"{lim.min_subnormal:.4e}"
-        print(f"{name:<15}{lim.max_normal:<15.4e}{lim.min_normal:<15.4e}"
-              f"{sub:<15}{lim.epsilon:<12.4e}")
+        print(f"{precision.value:<15}{lim.max_normal:<15.4e}"
+              f"{lim.min_normal:<15.4e}{sub:<15}{lim.epsilon:<12.4e}")
     return 0
 
 

@@ -28,13 +28,12 @@ from .kernels import (
 from .netgraph import Network, QuantStats, build_network
 from .optim import Adam, AdamConfig, LossScaler, Sgd, SgdConfig
 from .tensor import (
-    Precision,
     QuantPolicy,
     RngStream,
     Tensor,
     dump_tensor,
 )
-from .numerics import RoundingMode
+from .numerics import Precision, RoundingMode
 
 __all__ = [
     "ConfigError",
@@ -114,6 +113,12 @@ class ExperimentConfig:
                 "GEMM adds in one order, 'sequential' ('paired' was removed)")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        if self.max_train < 0:
+            raise ConfigError("max_train must be >= 0 (0 = the whole split)")
+        try:
+            self.optimizer_config()
+        except ValueError as exc:
+            raise ConfigError(f"{self.optimizer}: {exc}") from None
         if self.loss_scale <= 0 or not math.log2(self.loss_scale).is_integer():
             raise ConfigError("loss_scale must be a positive power of two")
         # The hyper-parameter-free claim: only the FP16 arm may scale.
@@ -125,6 +130,12 @@ class ExperimentConfig:
                 "policy_overrides is not supported: which tensors are "
                 "quantized is fixed by the dataflow")
         return self
+
+    def optimizer_config(self) -> SgdConfig | AdamConfig:
+        if self.optimizer == "sgd":
+            return SgdConfig(self.lr, self.momentum, self.nesterov,
+                             self.weight_decay)
+        return AdamConfig(self.lr, self.beta1, self.beta2, self.adam_eps)
 
     def policy(self) -> QuantPolicy:
         mode = (RoundingMode.NEAREST_EVEN if self.rounding == "rne"
@@ -338,26 +349,30 @@ def _dump_model(net: Network, out_dir: Path) -> None:
 
 
 def _make_optimizer(cfg: ExperimentConfig):
-    if cfg.optimizer == "sgd":
-        return Sgd(SgdConfig(cfg.lr, cfg.momentum, cfg.nesterov,
-                             cfg.weight_decay))
-    return Adam(AdamConfig(cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps))
+    opt_cfg = cfg.optimizer_config()
+    return Sgd(opt_cfg) if cfg.optimizer == "sgd" else Adam(opt_cfg)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Train to completion; one metrics row at iteration 0 and per epoch.
 
-    Raises DivergenceError on NaN loss after recording the partial CSV.
+    Raises DivergenceError on NaN loss after recording the partial CSV,
+    and ConfigError, before writing anything, when the training split is
+    smaller than one batch.
     """
     cfg.validate()
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
     ds = gen_dataset(cfg.task, cfg.seed)
     tx, ty = ds.train_x, ds.train_y
     if cfg.max_train:
         tx, ty = tx[:cfg.max_train], ty[:cfg.max_train]
+    if tx.shape[0] < cfg.batch_size:
+        raise ConfigError(
+            f"the training split has {tx.shape[0]} samples, fewer than "
+            f"batch_size = {cfg.batch_size}, so no step would run")
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rng = RngStream(cfg.seed, 1)
     net = build_network(_network_specs(cfg.task), cfg.policy(), rng.child(0))

@@ -22,15 +22,14 @@ import numpy as np
 
 from . import kernels as K
 from .kernels import ActivationKind, PoolKind
+from .numerics import Precision
 from .tensor import (
     HeNormal,
-    Precision,
     QuantPolicy,
     RngStream,
     ShapeError,
     Tensor,
     XavierUniform,
-    Zeros,
     init_tensor,
     quantize_tensor,
 )
@@ -229,7 +228,7 @@ class _DenseLayer(_Layer):
         bias = None
         bias_grad = None
         if spec.has_bias:
-            bias = init_tensor((spec.out_features,), Zeros(), rng.child(1))
+            bias = Tensor(np.zeros(spec.out_features, np.float32))
             bias_grad = np.zeros(spec.out_features, np.float32)
         self.params = [ParamSet(f"dense{index}.w", w, w.copy(),
                                 np.zeros(w.shape, np.float32), bias,
@@ -267,7 +266,7 @@ class _ConvLayer(_Layer):
         bias = None
         bias_grad = None
         if spec.has_bias:
-            bias = init_tensor((spec.out_channels,), Zeros(), rng.child(1))
+            bias = Tensor(np.zeros(spec.out_channels, np.float32))
             bias_grad = np.zeros(spec.out_channels, np.float32)
         self.params = [ParamSet(f"conv{index}.w", w, w.copy(),
                                 np.zeros(w.shape, np.float32), bias,
@@ -410,7 +409,7 @@ class _LstmLayer(_Layer):
         h, i = spec.hidden_size, spec.input_size
         w_ih = init_tensor((4 * h, i), XavierUniform(i, h), rng.child(0))
         w_hh = init_tensor((4 * h, h), XavierUniform(h, h), rng.child(1))
-        bias = init_tensor((4 * h,), Zeros(), rng.child(2))
+        bias = Tensor(np.zeros(4 * h, np.float32))
         self.params = [
             ParamSet(f"lstm{index}.w_ih", w_ih, w_ih.copy(),
                      np.zeros(w_ih.shape, np.float32), bias,

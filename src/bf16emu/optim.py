@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Precision, Tensor
+from .numerics import Precision
+from .tensor import Tensor
 
 __all__ = [
     "SgdConfig",

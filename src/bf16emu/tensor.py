@@ -1,32 +1,24 @@
 """Dense FP32 tensors with a precision tag, quantization, init and I/O.
 
-A tensor tagged BF16 or FP16 still stores FP32 values; the tag asserts
-that every element is exactly representable in the tagged format, so
-FP32 kernels operating on it reproduce the 16-bit-input / FP32-accumulator
-arithmetic bit for bit.  A `QuantPolicy` names only the target format
-and rounding mode; the network decides which tensors it applies to.
+A tensor tagged BF16 or FP16 still stores FP32 values; the tag, a
+`numerics.Precision`, asserts that every element is exactly
+representable in the tagged format, so FP32 kernels operating on it
+reproduce the 16-bit-input / FP32-accumulator arithmetic bit for bit.
+A `QuantPolicy` names only the target format and rounding mode; the
+network decides which tensors it applies to.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .numerics import (
-    BF16_SPEC,
-    FP16_SPEC,
-    FP32_SPEC,
-    FormatSpec,
-    RoundingMode,
-    quantize_array,
-)
+from .numerics import Precision, RoundingMode, quantize_array
 
 __all__ = [
-    "Precision",
     "Tensor",
     "ShapeError",
     "TensorIOError",
@@ -34,8 +26,6 @@ __all__ = [
     "UnknownVersionError",
     "TruncatedPayloadError",
     "RngStream",
-    "Zeros",
-    "Uniform",
     "HeNormal",
     "XavierUniform",
     "QuantPolicy",
@@ -44,20 +34,6 @@ __all__ = [
     "dump_tensor",
     "load_tensor",
 ]
-
-
-class Precision(Enum):
-    FP32 = "fp32"
-    BF16 = "bf16"
-    FP16 = "fp16"
-
-    @property
-    def spec(self) -> FormatSpec:
-        return {
-            Precision.FP32: FP32_SPEC,
-            Precision.BF16: BF16_SPEC,
-            Precision.FP16: FP16_SPEC,
-        }[self]
 
 
 class ShapeError(ValueError):
@@ -105,9 +81,7 @@ class Tensor:
 def quantize_tensor(t: Tensor, target: Precision,
                     mode: RoundingMode = RoundingMode.NEAREST_EVEN) -> Tensor:
     """Elementwise projection onto ``target``; shape preserved, idempotent."""
-    if target is Precision.FP32:
-        return Tensor(t.data.copy(), Precision.FP32)
-    return Tensor(quantize_array(t.data, target.spec, mode), target)
+    return Tensor(quantize_array(t.data, target, mode), target)
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +114,6 @@ class RngStream:
 
 
 @dataclass(frozen=True)
-class Zeros:
-    pass
-
-
-@dataclass(frozen=True)
-class Uniform:
-    low: float
-    high: float
-
-    def __post_init__(self):
-        if not self.low < self.high:
-            raise ValueError("Uniform requires low < high")
-
-
-@dataclass(frozen=True)
 class HeNormal:
     fan_in: int
 
@@ -178,12 +137,8 @@ def init_tensor(shape, scheme, rng: RngStream) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if any(s <= 0 for s in shape):
         raise ShapeError(f"invalid shape {shape}")
-    if isinstance(scheme, Zeros):
-        return Tensor(np.zeros(shape, np.float32))
     gen = rng.generator()
-    if isinstance(scheme, Uniform):
-        data = gen.uniform(scheme.low, scheme.high, size=shape)
-    elif isinstance(scheme, HeNormal):
+    if isinstance(scheme, HeNormal):
         std = np.sqrt(2.0 / scheme.fan_in)
         data = gen.normal(0.0, std, size=shape)
     elif isinstance(scheme, XavierUniform):

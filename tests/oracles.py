@@ -28,7 +28,6 @@ class OracleFormat:
 
 BF16_FTZ = OracleFormat(precision=8, emin=-126, emax=127,
                         flush_subnormals=True)
-BF16_SUB = OracleFormat(precision=8, emin=-126, emax=127)
 FP16 = OracleFormat(precision=11, emin=-14, emax=15)
 
 

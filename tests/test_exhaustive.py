@@ -23,7 +23,7 @@ from bf16emu.numerics import (
     fp16_to_f32_array,
 )
 
-from oracles import BF16_FTZ, BF16_SUB, FP16, round_vectorized
+from oracles import BF16_FTZ, FP16, round_vectorized
 
 pytestmark = pytest.mark.slow
 
@@ -48,13 +48,6 @@ CASES = [
                  BF16_FTZ, "rne", bf16_nan_rule, id="bf16-rne-ftz"),
     pytest.param(lambda x: f32_to_bf16_array(x, TRUNC), bf16_to_f32_array,
                  BF16_FTZ, "trunc", bf16_nan_rule, id="bf16-trunc-ftz"),
-    pytest.param(lambda x: f32_to_bf16_array(x, RNE, flush_subnormals=False),
-                 bf16_to_f32_array, BF16_SUB, "rne", bf16_nan_rule,
-                 id="bf16-rne-subnormal"),
-    pytest.param(lambda x: f32_to_bf16_array(x, TRUNC,
-                                             flush_subnormals=False),
-                 bf16_to_f32_array, BF16_SUB, "trunc", bf16_nan_rule,
-                 id="bf16-trunc-subnormal"),
     pytest.param(lambda x: f32_to_fp16_array(x, RNE), fp16_to_f32_array,
                  FP16, "rne", fp16_nan_rule, id="fp16-rne"),
     pytest.param(lambda x: f32_to_fp16_array(x, TRUNC), fp16_to_f32_array,

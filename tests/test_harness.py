@@ -18,7 +18,8 @@ from bf16emu.harness import (
     parse_config_file,
     run_experiment,
 )
-from bf16emu.tensor import Precision, load_tensor
+from bf16emu.numerics import Precision
+from bf16emu.tensor import load_tensor
 
 
 class TestConfigFile:
@@ -350,6 +351,20 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, lr="nan")
         assert cli.main(["train", "--config", str(cfg)]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"lr": "-0.1"},
+        {"momentum": "1.5"},
+        {"max_train": "-5"},
+        {"max_train": "10", "batch_size": "128"},
+    ], ids=["negative-lr", "momentum-above-1", "negative-max-train",
+            "split-below-batch"])
+    def test_unusable_values_are_config_errors(self, tmp_path, capsys,
+                                               overrides):
+        cfg = self.write_cfg(tmp_path, **overrides)
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_missing_config_file_is_exit_1(self, tmp_path, capsys):

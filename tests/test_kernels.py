@@ -22,8 +22,8 @@ from bf16emu.kernels import (
     softmax_cross_entropy,
     _gemm,
 )
+from bf16emu.numerics import Precision
 from bf16emu.tensor import (
-    Precision,
     RngStream,
     ShapeError,
     Tensor,

@@ -17,8 +17,8 @@ from bf16emu.netgraph import (
     QuantStats,
     build_network,
 )
+from bf16emu.numerics import Precision
 from bf16emu.tensor import (
-    Precision,
     QuantPolicy,
     RngStream,
     Tensor,

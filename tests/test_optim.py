@@ -5,7 +5,8 @@ import pytest
 
 from bf16emu.netgraph import ParamSet
 from bf16emu.optim import Adam, AdamConfig, LossScaler, Sgd, SgdConfig
-from bf16emu.tensor import Precision, Tensor, quantize_tensor
+from bf16emu.numerics import Precision
+from bf16emu.tensor import Tensor, quantize_tensor
 
 
 def make_ps(w, bias=None):
