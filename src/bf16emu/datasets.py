@@ -27,7 +27,6 @@ class Dataset:
     eval_x: np.ndarray
     eval_y: np.ndarray
     metric: str  # "accuracy" | "mse" | "logloss"
-    num_classes: int | None = None
     # Only for logistic-ctr: the log loss of the generating model itself.
     bayes_logloss: float | None = None
 
@@ -61,7 +60,7 @@ def _circles(seed: int) -> Dataset:
     rng = RngStream(seed, 101)
     tx, ty = _circles_split(rng.child(0).generator(), 4096)
     ex, ey = _circles_split(rng.child(1).generator(), 1024)
-    return Dataset("mlp-circles", tx, ty, ex, ey, "accuracy", num_classes=2)
+    return Dataset("mlp-circles", tx, ty, ex, ey, "accuracy")
 
 
 _DIGIT_TEMPLATES = None
@@ -97,7 +96,7 @@ def _digits(seed: int) -> Dataset:
     rng = RngStream(seed, 202)
     tx, ty = _digits_split(rng.child(0).generator(), 4096)
     ex, ey = _digits_split(rng.child(1).generator(), 1024)
-    return Dataset("conv-digits", tx, ty, ex, ey, "accuracy", num_classes=4)
+    return Dataset("conv-digits", tx, ty, ex, ey, "accuracy")
 
 
 def _sine_split(gen, n, length=32):

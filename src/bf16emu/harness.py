@@ -22,11 +22,12 @@ from .datasets import Dataset, TASKS, gen_dataset
 from .kernels import (
     ActivationKind,
     PoolKind,
+    _sigmoid,
     binary_log_loss,
     softmax_cross_entropy,
 )
 from .netgraph import Network, QuantStats, build_network
-from .optim import Adam, AdamConfig, LossScaler, Sgd, SgdConfig
+from .optim import Adam, LossScaler, Sgd
 from .tensor import (
     QuantPolicy,
     RngStream,
@@ -116,7 +117,7 @@ class ExperimentConfig:
         if self.max_train < 0:
             raise ConfigError("max_train must be >= 0 (0 = the whole split)")
         try:
-            self.optimizer_config()
+            self.make_optimizer()
         except ValueError as exc:
             raise ConfigError(f"{self.optimizer}: {exc}") from None
         if self.loss_scale <= 0 or not math.log2(self.loss_scale).is_integer():
@@ -131,11 +132,11 @@ class ExperimentConfig:
                 "quantized is fixed by the dataflow")
         return self
 
-    def optimizer_config(self) -> SgdConfig | AdamConfig:
+    def make_optimizer(self) -> Sgd | Adam:
         if self.optimizer == "sgd":
-            return SgdConfig(self.lr, self.momentum, self.nesterov,
-                             self.weight_decay)
-        return AdamConfig(self.lr, self.beta1, self.beta2, self.adam_eps)
+            return Sgd(self.lr, self.momentum, self.nesterov,
+                       self.weight_decay)
+        return Adam(self.lr, self.beta1, self.beta2, self.adam_eps)
 
     def policy(self) -> QuantPolicy:
         mode = (RoundingMode.NEAREST_EVEN if self.rounding == "rne"
@@ -232,12 +233,12 @@ def _network_specs(task: str):
     raise ConfigError(f"unknown task {task!r}")
 
 
-def _loss_and_grad(task_metric: str, output: Tensor, labels):
+def _loss_and_grad(task_metric: str, output: np.ndarray, labels):
     """Returns (train loss, dlogits)."""
-    z = output.data.reshape(-1)
+    z = output.reshape(-1)
     n = z.shape[0]
     if task_metric == "accuracy":
-        loss, d = softmax_cross_entropy(output.data, labels)
+        loss, d = softmax_cross_entropy(output, labels)
     elif task_metric == "mse":
         y = np.asarray(labels, np.float32).reshape(-1)
         diff = (z - y).astype(np.float32)
@@ -245,12 +246,12 @@ def _loss_and_grad(task_metric: str, output: Tensor, labels):
         d = (np.float32(2.0 / n) * diff).astype(np.float32)
     elif task_metric == "logloss":
         y = np.asarray(labels, np.float32).reshape(-1)
-        p = (1.0 / (1.0 + np.exp(-z.astype(np.float32)))).astype(np.float32)
+        p = _sigmoid(z)
         loss = binary_log_loss(p, y)
         d = ((p - y) / np.float32(n)).astype(np.float32)
     else:
         raise ConfigError(f"unknown metric {task_metric!r}")
-    return loss, Tensor(d.reshape(output.shape))
+    return loss, d.reshape(output.shape)
 
 
 def _eval_metric(net: Network, ds: Dataset, batch: int = 512) -> float:
@@ -258,9 +259,8 @@ def _eval_metric(net: Network, ds: Dataset, batch: int = 512) -> float:
     outs = []
     n = ds.eval_x.shape[0]
     for lo in range(0, n, batch):
-        x = Tensor(ds.eval_x[lo:lo + batch])
-        y, _ = net.forward(x, train=False)
-        outs.append(y.data)
+        y, _ = net.forward(ds.eval_x[lo:lo + batch], train=False)
+        outs.append(y)
     out = np.concatenate(outs, axis=0)
     if ds.metric == "accuracy":
         pred = out.argmax(axis=1)
@@ -278,7 +278,7 @@ def _train_loss_full(net: Network, ds: Dataset, tx, ty,
     total = 0.0
     count = 0
     for lo in range(0, tx.shape[0], batch):
-        x = Tensor(tx[lo:lo + batch])
+        x = tx[lo:lo + batch]
         y, _ = net.forward(x, train=False)
         loss, _ = _loss_and_grad(ds.metric, y, ty[lo:lo + batch])
         total += loss * x.shape[0]
@@ -334,23 +334,18 @@ def _dump_model(net: Network, out_dir: Path) -> None:
     manifest = []
     for ps in net.param_sets():
         fname = f"{ps.name}.tensor"
-        dump_tensor(ps.master, model_dir / fname)
+        dump_tensor(Tensor(ps.master), model_dir / fname)
         entry = {"name": ps.name, "shape": list(ps.master.shape),
                  "file": fname}
         if ps.bias is not None:
             bias_file = f"{ps.name}.bias.tensor"
-            dump_tensor(ps.bias, model_dir / bias_file)
+            dump_tensor(Tensor(ps.bias), model_dir / bias_file)
             entry["bias_file"] = bias_file
             entry["bias_shape"] = list(ps.bias.shape)
         manifest.append(entry)
     with open(model_dir / "manifest.json", "w") as fh:
         json.dump({"layers": manifest}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _make_optimizer(cfg: ExperimentConfig):
-    opt_cfg = cfg.optimizer_config()
-    return Sgd(opt_cfg) if cfg.optimizer == "sgd" else Adam(opt_cfg)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -376,7 +371,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     rng = RngStream(cfg.seed, 1)
     net = build_network(_network_specs(cfg.task), cfg.policy(), rng.child(0))
-    opt = _make_optimizer(cfg)
+    opt = cfg.make_optimizer()
     scaler = LossScaler(cfg.loss_scale)
     prescale = np.float32(cfg.loss_prescale)
 
@@ -404,7 +399,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         stats = QuantStats()
         for lo in range(0, n - cfg.batch_size + 1, cfg.batch_size):
             idx = perm[lo:lo + cfg.batch_size]
-            x = Tensor(tx[idx])
+            x = tx[idx]
             labels = ty[idx]
             net.zero_grads()
             out, tape = net.forward(x, train=True,
@@ -418,7 +413,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                 break
             d = dlogits
             if cfg.loss_prescale != 1.0:
-                d = Tensor(d.data * prescale)
+                d = d * prescale
             d = scaler.scale_loss_grad(d)
             net.backward(tape, d, stats=stats)
             scaler.unscale_grads(net.param_sets())

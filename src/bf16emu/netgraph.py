@@ -1,9 +1,14 @@
 """Sequential network execution with the mixed-precision dataflow.
 
-Parameters live as {FP32 master, quantized shadow, FP32 gradient}; bias
-tensors never pass through quantization.  Layers do only arithmetic and
-caching: they hand the kernels plain arrays and wrap the results in
-`Tensor`, so the precision tag is kept here, not in the kernels.
+A `ParamSet` holds plain float32 arrays: the FP32 master, its FP32
+gradient, an optional FP32 bias with its gradient, and the shadow the
+kernels read, which is the quantized master (or the master itself where
+nothing is quantized).  Biases never pass through quantization.
+`Network.forward` and `Network.backward` take and return float32 arrays
+too; the precision tag (`Tensor`) lives only between the layers, where
+it lets `_quantize` skip values already in the target format.  Layers
+do only arithmetic and caching: they hand the kernels plain arrays and
+wrap the results in `Tensor`.
 `Network` quantizes at layer boundaries: the network input, each
 layer's output and the error gradient entering each layer.  Only the
 LSTM quantizes inside itself, in its recurrence: the hidden state it
@@ -22,7 +27,6 @@ import numpy as np
 
 from . import kernels as K
 from .kernels import ActivationKind, PoolKind
-from .numerics import Precision
 from .tensor import (
     HeNormal,
     QuantPolicy,
@@ -124,16 +128,28 @@ class Flatten:
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class ParamSet:
-    """FP32 master weights, quantized shadow, FP32 grad, FP32 bias."""
+    """FP32 master weights and optional FP32 bias, each with a zeroed FP32
+    gradient, plus the shadow the kernels read (set by the network)."""
 
-    name: str
-    master: Tensor
-    shadow: Tensor
-    grad: np.ndarray
-    bias: Tensor | None = None
-    bias_grad: np.ndarray | None = None
+    def __init__(self, name: str, master: np.ndarray,
+                 bias: np.ndarray | None = None):
+        for what, a in (("master", master), ("bias", bias)):
+            if a is not None and not (isinstance(a, np.ndarray)
+                                      and a.dtype == np.float32):
+                raise ValueError(f"{name}: {what} must be a float32 array")
+        self.name = name
+        self.master = master
+        self.shadow = master
+        self.grad = np.zeros_like(master)
+        self.bias = bias
+        self.bias_grad = None if bias is None else np.zeros_like(bias)
+
+    def arrays(self):
+        """``(key, array, grad)`` for the weight, then for the bias."""
+        yield self.name, self.master, self.grad
+        if self.bias is not None:
+            yield self.name + ".bias", self.bias, self.bias_grad
 
 
 class QuantStats:
@@ -225,22 +241,17 @@ class _DenseLayer(_Layer):
         w = init_tensor((spec.out_features, spec.in_features),
                         XavierUniform(spec.in_features, spec.out_features),
                         rng.child(0))
-        bias = None
-        bias_grad = None
-        if spec.has_bias:
-            bias = Tensor(np.zeros(spec.out_features, np.float32))
-            bias_grad = np.zeros(spec.out_features, np.float32)
-        self.params = [ParamSet(f"dense{index}.w", w, w.copy(),
-                                np.zeros(w.shape, np.float32), bias,
-                                bias_grad)]
+        bias = (np.zeros(spec.out_features, np.float32) if spec.has_bias
+                else None)
+        self.params = [ParamSet(f"dense{index}.w", w, bias)]
 
     def forward(self, x, ctx, tape):
         if x.data.ndim != 2 or x.shape[1] != self.spec.in_features:
             raise ShapeError(f"dense{self.index} input shape {x.shape}")
         ps = self.params[0]
-        y = K._gemm(x.data, ps.shadow.data.T)
+        y = K._gemm(x.data, ps.shadow.T)
         if ps.bias is not None:
-            y = y + ps.bias.data
+            y = y + ps.bias
         tape.caches.append(x)
         return Tensor(y)
 
@@ -250,7 +261,7 @@ class _DenseLayer(_Layer):
         ps.grad += K._gemm(dy.data.T, x.data)
         if ps.bias is not None:
             ps.bias_grad += dy.data.sum(axis=0, dtype=np.float32)
-        return Tensor(K._gemm(dy.data, ps.shadow.data))
+        return Tensor(K._gemm(dy.data, ps.shadow))
 
 
 class _ConvLayer(_Layer):
@@ -263,27 +274,22 @@ class _ConvLayer(_Layer):
         w = init_tensor((spec.out_channels, spec.in_channels,
                          spec.kernel, spec.kernel), HeNormal(fan_in),
                         rng.child(0))
-        bias = None
-        bias_grad = None
-        if spec.has_bias:
-            bias = Tensor(np.zeros(spec.out_channels, np.float32))
-            bias_grad = np.zeros(spec.out_channels, np.float32)
-        self.params = [ParamSet(f"conv{index}.w", w, w.copy(),
-                                np.zeros(w.shape, np.float32), bias,
-                                bias_grad)]
+        bias = (np.zeros(spec.out_channels, np.float32) if spec.has_bias
+                else None)
+        self.params = [ParamSet(f"conv{index}.w", w, bias)]
 
     def forward(self, x, ctx, tape):
         ps = self.params[0]
-        y = K.conv2d_forward(x.data, ps.shadow.data, self.spec.stride,
+        y = K.conv2d_forward(x.data, ps.shadow, self.spec.stride,
                              self.spec.pad)
         if ps.bias is not None:
-            y = y + ps.bias.data[:, None, None]
+            y = y + ps.bias[:, None, None]
         tape.caches.append(x.data)
         return Tensor(y)
 
     def backward(self, dy, ctx, cache):
         ps = self.params[0]
-        dx, dw = K.conv2d_backward(cache, ps.shadow.data, dy.data,
+        dx, dw = K.conv2d_backward(cache, ps.shadow, dy.data,
                                    self.spec.stride, self.spec.pad)
         ps.grad += dw
         if ps.bias is not None:
@@ -297,24 +303,20 @@ class _BatchNormLayer(_Layer):
     def __init__(self, index, spec: BatchNorm, rng: RngStream):
         super().__init__(index)
         self.spec = spec
-        gamma = Tensor(np.ones(spec.channels, np.float32))
-        beta = Tensor(np.zeros(spec.channels, np.float32))
-        self.params = [ParamSet(f"batchnorm{index}.gamma", gamma,
-                                gamma.copy(),
-                                np.zeros(spec.channels, np.float32), beta,
+        self.params = [ParamSet(f"batchnorm{index}.gamma",
+                                np.ones(spec.channels, np.float32),
                                 np.zeros(spec.channels, np.float32))]
 
     def forward(self, x, ctx, tape):
         ps = self.params[0]
-        y, cache = K.batchnorm_forward(x.data, ps.shadow.data, ps.bias.data,
+        y, cache = K.batchnorm_forward(x.data, ps.shadow, ps.bias,
                                        self.spec.eps)
         tape.caches.append(cache)
         return Tensor(y)
 
     def backward(self, dy, ctx, cache):
         ps = self.params[0]
-        dx, dgamma, dbeta = K.batchnorm_backward(dy.data, ps.shadow.data,
-                                                 cache)
+        dx, dgamma, dbeta = K.batchnorm_backward(dy.data, ps.shadow, cache)
         ps.grad += dgamma
         ps.bias_grad += dbeta
         return Tensor(dx)
@@ -409,13 +411,9 @@ class _LstmLayer(_Layer):
         h, i = spec.hidden_size, spec.input_size
         w_ih = init_tensor((4 * h, i), XavierUniform(i, h), rng.child(0))
         w_hh = init_tensor((4 * h, h), XavierUniform(h, h), rng.child(1))
-        bias = Tensor(np.zeros(4 * h, np.float32))
         self.params = [
-            ParamSet(f"lstm{index}.w_ih", w_ih, w_ih.copy(),
-                     np.zeros(w_ih.shape, np.float32), bias,
-                     np.zeros(4 * h, np.float32)),
-            ParamSet(f"lstm{index}.w_hh", w_hh, w_hh.copy(),
-                     np.zeros(w_hh.shape, np.float32)),
+            ParamSet(f"lstm{index}.w_ih", w_ih, np.zeros(4 * h, np.float32)),
+            ParamSet(f"lstm{index}.w_hh", w_hh),
         ]
 
     def forward(self, x, ctx, tape):
@@ -423,8 +421,8 @@ class _LstmLayer(_Layer):
             raise ShapeError(f"lstm{self.index} expects (N,T,I), got {x.shape}")
         n, t, _ = x.shape
         hsz = self.spec.hidden_size
-        w_ih, w_hh = (ps.shadow.data for ps in self.params)
-        bias = self.params[0].bias.data
+        w_ih, w_hh = (ps.shadow for ps in self.params)
+        bias = self.params[0].bias
         h = np.zeros((n, hsz), np.float32)
         c = np.zeros((n, hsz), np.float32)
         steps = []
@@ -440,7 +438,7 @@ class _LstmLayer(_Layer):
     def backward(self, dy, ctx, cache):
         steps, x_shape = cache
         w_ih_ps, w_hh_ps = self.params
-        w_ih, w_hh = w_ih_ps.shadow.data, w_hh_ps.shadow.data
+        w_ih, w_hh = w_ih_ps.shadow, w_hh_ps.shadow
         dh = dy.data
         dc = np.zeros_like(dh)
         dx = np.zeros(x_shape, np.float32)
@@ -502,38 +500,43 @@ class Network:
             yield from layer.params
 
     def refresh_shadows(self):
-        """Re-quantize every master into its shadow; bias stays FP32."""
+        """Re-quantize every master into its shadow; bias stays FP32.
+
+        A master that `_quantize` leaves as is (FP32 policy, batchnorm)
+        is its own shadow: the optimizer writes masters only between
+        `backward` and the next refresh, and no kernel writes its weights.
+        """
         ctx = _Ctx(self.policy)
         for layer in self.layers:
             for ps in layer.params:
-                q = _quantize(ps.master, ctx, layer.layer_class, "weight")
-                ps.shadow = ps.master.copy() if q is ps.master else q
-                assert ps.bias is None or ps.bias.tag is Precision.FP32
+                ps.shadow = _quantize(Tensor(ps.master), ctx,
+                                      layer.layer_class, "weight").data
 
     def zero_grads(self):
         for ps in self.param_sets():
-            ps.grad[...] = 0
-            if ps.bias_grad is not None:
-                ps.bias_grad[...] = 0
+            for _, _, grad in ps.arrays():
+                grad[...] = 0
 
     # -- execution --------------------------------------------------------
 
-    def forward(self, x: Tensor, train: bool = True,
-                step_rng: RngStream | None = None,
-                stats: QuantStats | None = None):
-        ctx = _Ctx(self.policy, train, step_rng, stats)
+    def forward(self, x: np.ndarray, train: bool = True,
+                step_rng: RngStream | None = None):
+        """Returns the float32 output and the tape for `backward`."""
+        ctx = _Ctx(self.policy, train, step_rng)
         tape = Tape()
-        out = x
+        out = Tensor(x)
         if self.layers:
-            out = _quantize(x, ctx, self.layers[0].layer_class, "act")
+            out = _quantize(out, ctx, self.layers[0].layer_class, "act")
         for layer in self.layers:
             out = _quantize(layer.forward(out, ctx, tape), ctx,
                             layer.layer_class, "act")
             tape.outputs.append(out)
-        return out, tape
+        return out.data, tape
 
-    def backward(self, tape: Tape, dy: Tensor,
-                 stats: QuantStats | None = None) -> Tensor:
+    def backward(self, tape: Tape, dy: np.ndarray,
+                 stats: QuantStats | None = None) -> np.ndarray:
+        """Accumulates parameter gradients; returns the float32 input
+        gradient.  Error gradients zeroed by quantization go to ``stats``."""
         if tape.consumed:
             raise RuntimeError("tape already consumed by a backward pass")
         tape.consumed = True
@@ -542,7 +545,7 @@ class Network:
                              f"{tape.outputs[-1].shape}")
         ctx = _Ctx(self.policy, stats=stats)
         pending: dict[int, np.ndarray] = {}
-        grad = dy
+        grad = Tensor(dy)
         for i in range(len(self.layers) - 1, -1, -1):
             if i in pending:
                 grad = Tensor(grad.data + pending.pop(i))
@@ -552,7 +555,7 @@ class Network:
             if isinstance(layer, _EltwiseAddLayer):
                 src = layer.spec.source
                 pending[src] = pending.get(src, 0) + grad.data
-        return grad
+        return grad.data
 
 
 def build_network(specs, policy: QuantPolicy, rng: RngStream) -> Network:

@@ -4,8 +4,10 @@ A tensor tagged BF16 or FP16 still stores FP32 values; the tag, a
 `numerics.Precision`, asserts that every element is exactly
 representable in the tagged format, so FP32 kernels operating on it
 reproduce the 16-bit-input / FP32-accumulator arithmetic bit for bit.
-A `QuantPolicy` names only the target format and rounding mode; the
-network decides which tensors it applies to.
+Only `netgraph` (between its layers) and the dump format carry the tag;
+parameters, optimizers and the harness hold plain float32 arrays, and
+`init_tensor` returns one.  A `QuantPolicy` names only the target format
+and rounding mode; the network decides which tensors it applies to.
 """
 
 from __future__ import annotations
@@ -70,13 +72,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), self.tag)
-
 
 def quantize_tensor(t: Tensor, target: Precision,
                     mode: RoundingMode = RoundingMode.NEAREST_EVEN) -> Tensor:
@@ -132,7 +127,7 @@ class XavierUniform:
             raise ValueError("XavierUniform requires positive fans")
 
 
-def init_tensor(shape, scheme, rng: RngStream) -> Tensor:
+def init_tensor(shape, scheme, rng: RngStream) -> np.ndarray:
     """Deterministic FP32 initialization from a counter-based stream."""
     shape = tuple(int(s) for s in shape)
     if any(s <= 0 for s in shape):
@@ -146,7 +141,7 @@ def init_tensor(shape, scheme, rng: RngStream) -> Tensor:
         data = gen.uniform(-limit, limit, size=shape)
     else:
         raise ValueError(f"unknown init scheme {scheme!r}")
-    return Tensor(data.astype(np.float32))
+    return data.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from bf16emu.numerics import (
     f32_to_fp16_array,
     fp16_to_f32_array,
 )
-from bf16emu.tensor import QuantPolicy, RngStream, Tensor, load_tensor
+from bf16emu.tensor import QuantPolicy, RngStream, load_tensor
 
 from oracles import BF16_FTZ, FP16, round_exact, round_vectorized
 from test_kernels import assert_grads_close, fd_grad
@@ -253,28 +253,28 @@ def test_criterion_05_gradient_checks():
                              RngStream(seed))
         xl = rng.standard_normal((2, 3, 2)).astype(np.float32)
         dyl = rng.standard_normal((2, 1)).astype(np.float32)
-        _, tape = lstm.forward(Tensor(xl), train=False)
+        _, tape = lstm.forward(xl, train=False)
         lstm.zero_grads()
-        dxl = lstm.backward(tape, Tensor(dyl))
+        dxl = lstm.backward(tape, dyl)
 
         def lstm_loss(v):
-            out, _ = lstm.forward(Tensor(v), train=False)
-            return float((out.data.astype(np.float64) * dyl).sum())
-        assert_grads_close(dxl.data, fd_grad(lstm_loss, xl.copy()))
+            out, _ = lstm.forward(v, train=False)
+            return float((out.astype(np.float64) * dyl).sum())
+        assert_grads_close(dxl, fd_grad(lstm_loss, xl.copy()))
 
         # full network (dense + tanh)
         net = build_network([Dense(3, 4), Activation(ActivationKind.TANH),
                              Dense(4, 2)], pol, RngStream(seed))
         xn = rng.standard_normal((3, 3)).astype(np.float32)
         dyn = rng.standard_normal((3, 2)).astype(np.float32)
-        _, tape = net.forward(Tensor(xn), train=False)
+        _, tape = net.forward(xn, train=False)
         net.zero_grads()
-        dxn = net.backward(tape, Tensor(dyn))
+        dxn = net.backward(tape, dyn)
 
         def net_loss(v):
-            out, _ = net.forward(Tensor(v), train=False)
-            return float((out.data.astype(np.float64) * dyn).sum())
-        assert_grads_close(dxn.data, fd_grad(net_loss, xn.copy()))
+            out, _ = net.forward(v, train=False)
+            return float((out.astype(np.float64) * dyn).sum())
+        assert_grads_close(dxn, fd_grad(net_loss, xn.copy()))
 
         instances += 7
 
@@ -375,12 +375,10 @@ def test_criterion_10_fp16_underflow_demo(tmp_path):
     frozen = True
     model_dir = Path(cfg.out) / "model"
     for ps in fresh.param_sets():
-        dumped = load_tensor(model_dir / f"{ps.name}.tensor")
-        frozen &= bool(np.array_equal(
-            dumped.data.view(np.uint32), ps.master.data.view(np.uint32)))
-        if ps.bias is not None:
-            dumped_b = load_tensor(model_dir / f"{ps.name}.bias.tensor")
-            frozen &= bool(np.array_equal(dumped_b.data, ps.bias.data))
+        for key, array, _ in ps.arrays():
+            dumped = load_tensor(model_dir / f"{key}.tensor")
+            frozen &= bool(np.array_equal(dumped.data.view(np.uint32),
+                                          array.view(np.uint32)))
 
     base = fp32.final.loss
     rel_bf16 = abs(bf16.final.loss - base) / base

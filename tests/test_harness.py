@@ -166,7 +166,6 @@ class TestDatasets:
     def test_digits_shapes(self):
         ds = gen_dataset("conv-digits", 1)
         assert ds.train_x.shape == (4096, 1, 8, 8)
-        assert ds.num_classes == 4
         assert set(np.unique(ds.train_y)) <= {0, 1, 2, 3}
 
     def test_sine_shapes(self):

@@ -17,11 +17,10 @@ from bf16emu.netgraph import (
     QuantStats,
     build_network,
 )
-from bf16emu.numerics import Precision
+from bf16emu.numerics import Precision, quantize_array
 from bf16emu.tensor import (
     QuantPolicy,
     RngStream,
-    Tensor,
     quantize_tensor,
 )
 
@@ -53,14 +52,14 @@ class TestBuild:
         a = build_network(mlp_specs(), QuantPolicy.fp32(), RngStream(1))
         b = build_network(mlp_specs(), QuantPolicy.fp32(), RngStream(1))
         for pa, pb in zip(a.param_sets(), b.param_sets()):
-            assert np.array_equal(pa.master.data, pb.master.data)
+            assert np.array_equal(pa.master, pb.master)
 
     def test_different_seeds_differ(self):
         a = build_network(mlp_specs(), QuantPolicy.fp32(), RngStream(1))
         b = build_network(mlp_specs(), QuantPolicy.fp32(), RngStream(2))
         assert not np.array_equal(
-            next(a.param_sets()).master.data,
-            next(b.param_sets()).master.data)
+            next(a.param_sets()).master,
+            next(b.param_sets()).master)
 
     def test_unknown_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -77,6 +76,52 @@ class TestBuild:
             BatchNorm(3, eps=eps)
 
 
+def every_layer_kind():
+    """Every layer kind but the LSTM, on (N, 1, 4, 4) inputs."""
+    return [Conv2d(1, 2, 3, pad=1), BatchNorm(2), Activation(RELU),
+            EltwiseAdd(source=0), Pool(PoolKind.MAX, 2, 2), Dropout(0.5),
+            Flatten(), Dense(8, 2)]
+
+
+class TestArrayBoundary:
+    """Parameters and the network's inputs and outputs are plain float32
+    arrays; the precision tag stays between the layers."""
+
+    @pytest.mark.parametrize("policy", [QuantPolicy.fp32(),
+                                        QuantPolicy.bf16()],
+                             ids=["fp32", "bf16"])
+    def test_forward_backward_and_params_are_arrays(self, policy):
+        net = build_network(every_layer_kind(), policy, RngStream(19))
+        x = np.random.default_rng(26).standard_normal(
+            (4, 1, 4, 4)).astype(np.float32)
+        out, tape = net.forward(x, train=True, step_rng=RngStream(1, 2))
+        net.zero_grads()
+        dx = net.backward(tape, np.ones(out.shape, np.float32))
+        for value in (out, dx):
+            assert type(value) is np.ndarray and value.dtype == np.float32
+        assert dx.shape == x.shape
+        net.refresh_shadows()
+        triples = [t for ps in net.param_sets() for t in ps.arrays()]
+        assert [key for key, _, _ in triples] == [
+            "conv0.w", "conv0.w.bias", "batchnorm1.gamma",
+            "batchnorm1.gamma.bias", "dense7.w", "dense7.w.bias"]
+        for _, array, grad in triples:
+            for a in (array, grad):
+                assert type(a) is np.ndarray and a.dtype == np.float32
+        for ps in net.param_sets():
+            assert type(ps.shadow) is np.ndarray
+            assert ps.shadow.dtype == np.float32
+
+    def test_lstm_params_are_arrays(self):
+        net = build_network([Lstm(1, 3), Dense(3, 2)], QuantPolicy.bf16(),
+                            RngStream(19))
+        keys = [key for ps in net.param_sets() for key, _, _ in ps.arrays()]
+        assert keys == ["lstm0.w_ih", "lstm0.w_ih.bias", "lstm0.w_hh",
+                        "dense1.w", "dense1.w.bias"]
+        out, _ = net.forward(np.zeros((2, 3, 1), np.float32))
+        assert type(out) is np.ndarray and out.shape == (2, 2)
+
+
 class TestFp32Identity:
     """With an FP32 policy the engine is a plain FP32 network: 100 SGD
     steps must match an independently coded reference bit for bit."""
@@ -85,10 +130,10 @@ class TestFp32Identity:
         rng = np.random.default_rng(42)
         net = build_network(mlp_specs(), QuantPolicy.fp32(), RngStream(7))
         d1, d2 = net.layers[0].params[0], net.layers[2].params[0]
-        w1 = d1.master.data.copy()
-        b1 = d1.bias.data.copy()
-        w2 = d2.master.data.copy()
-        b2 = d2.bias.data.copy()
+        w1 = d1.master.copy()
+        b1 = d1.bias.copy()
+        w2 = d2.master.copy()
+        b2 = d2.bias.copy()
 
         x = rng.standard_normal((8, 2)).astype(np.float32)
         target = rng.standard_normal((8, 2)).astype(np.float32)
@@ -97,21 +142,20 @@ class TestFp32Identity:
 
         for _ in range(100):
             # engine
-            out, tape = net.forward(Tensor(x), train=True)
-            dy = (out.data - target) * inv_n
+            out, tape = net.forward(x, train=True)
+            dy = (out - target) * inv_n
             net.zero_grads()
-            net.backward(tape, Tensor(dy))
+            net.backward(tape, dy)
             for ps in net.param_sets():
-                ps.master.data -= lr * ps.grad
-                if ps.bias is not None:
-                    ps.bias.data -= lr * ps.bias_grad
+                for _, w, g in ps.arrays():
+                    w -= lr * g
             net.refresh_shadows()
 
             # reference, scalar-ordered gemm throughout
             pre = gemm_oracle(x, w1.T.copy()) + b1
             h = np.maximum(pre, np.float32(0))
             out_ref = gemm_oracle(h, w2.T.copy()) + b2
-            assert np.array_equal(out.data.view(np.uint32),
+            assert np.array_equal(out.view(np.uint32),
                                   out_ref.view(np.uint32))
             dy_ref = (out_ref - target) * inv_n
             dw2 = gemm_oracle(dy_ref.T.copy(), h)
@@ -125,13 +169,13 @@ class TestFp32Identity:
             w1 -= lr * dw1
             b1 -= lr * db1
 
-        assert np.array_equal(d1.master.data.view(np.uint32),
+        assert np.array_equal(d1.master.view(np.uint32),
                               w1.view(np.uint32))
-        assert np.array_equal(d1.bias.data.view(np.uint32),
+        assert np.array_equal(d1.bias.view(np.uint32),
                               b1.view(np.uint32))
-        assert np.array_equal(d2.master.data.view(np.uint32),
+        assert np.array_equal(d2.master.view(np.uint32),
                               w2.view(np.uint32))
-        assert np.array_equal(d2.bias.data.view(np.uint32),
+        assert np.array_equal(d2.bias.view(np.uint32),
                               b2.view(np.uint32))
 
 
@@ -139,53 +183,62 @@ class TestShadows:
     def test_shadow_is_quantized_master(self):
         net = build_network(mlp_specs(), QuantPolicy.bf16(), RngStream(3))
         for ps in net.param_sets():
-            want = quantize_tensor(ps.master, Precision.BF16)
-            assert np.array_equal(ps.shadow.data, want.data)
-            assert ps.shadow.tag is Precision.BF16
+            want = quantize_array(ps.master, Precision.BF16)
+            assert np.array_equal(ps.shadow, want)
+            assert ps.shadow.dtype == np.float32
+            assert ps.shadow is not ps.master
 
     def test_refresh_tracks_master_updates(self):
         net = build_network(mlp_specs(), QuantPolicy.bf16(), RngStream(3))
         ps = next(net.param_sets())
-        ps.master.data += 0.123
+        ps.master += 0.123
         net.refresh_shadows()
-        want = quantize_tensor(ps.master, Precision.BF16)
-        assert np.array_equal(ps.shadow.data, want.data)
+        want = quantize_array(ps.master, Precision.BF16)
+        assert np.array_equal(ps.shadow, want)
 
     def test_master_stays_full_precision(self):
         net = build_network(mlp_specs(), QuantPolicy.bf16(), RngStream(3))
         ps = next(net.param_sets())
-        before = ps.master.data.copy()
+        before = ps.master.copy()
         net.refresh_shadows()
-        assert np.array_equal(ps.master.data, before)
-        assert ps.master.tag is Precision.FP32
+        assert np.array_equal(ps.master, before)
+        assert ps.master.dtype == np.float32
+        assert not np.array_equal(ps.master, ps.shadow)
 
     def test_bias_never_quantized(self):
         net = build_network(mlp_specs(), QuantPolicy.fp16(), RngStream(3))
         for ps in net.param_sets():
             if ps.bias is not None:
                 # A value below fp16 precision must survive in the bias.
-                ps.bias.data[...] = 1e-6
+                ps.bias[...] = 1e-6
         net.refresh_shadows()
         for ps in net.param_sets():
             if ps.bias is not None:
-                assert ps.bias.tag is Precision.FP32
-                assert np.all(ps.bias.data == np.float32(1e-6))
+                assert ps.bias.dtype == np.float32
+                assert np.all(ps.bias == np.float32(1e-6))
 
     def test_batchnorm_params_not_quantized(self):
         specs = [Dense(2, 4), BatchNorm(4), Activation(RELU), Dense(4, 2)]
         net = build_network(specs, QuantPolicy.bf16(), RngStream(5))
         bn = net.layers[1].params[0]
-        bn.master.data[...] = 1.0 + 2.0 ** -12  # not bf16-representable
+        bn.master[...] = 1.0 + 2.0 ** -12  # not bf16-representable
         net.refresh_shadows()
-        assert np.all(bn.shadow.data == bn.master.data)
+        assert np.all(bn.shadow == bn.master)
+
+    def test_unquantized_master_is_its_own_shadow(self):
+        # FP32 policy: _quantize returns the master itself, so no copy is
+        # made per step; a master update shows in the next forward pass.
+        net = build_network(mlp_specs(), QuantPolicy.fp32(), RngStream(3))
+        for ps in net.param_sets():
+            assert ps.shadow is ps.master
 
 
 class TestBackward:
     def test_tape_consumed_once(self):
         net = build_network(mlp_specs(), QuantPolicy.fp32(), RngStream(0))
-        x = Tensor(np.ones((4, 2), np.float32))
+        x = np.ones((4, 2), np.float32)
         out, tape = net.forward(x)
-        dy = Tensor(np.ones(out.shape, np.float32))
+        dy = np.ones(out.shape, np.float32)
         net.backward(tape, dy)
         with pytest.raises(RuntimeError):
             net.backward(tape, dy)
@@ -198,12 +251,12 @@ class TestBackward:
         dy = rng.standard_normal((4, 2)).astype(np.float32)
 
         def loss(xv):
-            out, _ = net.forward(Tensor(xv), train=False)
-            return float((out.data.astype(np.float64) * dy).sum())
+            out, _ = net.forward(xv, train=False)
+            return float((out.astype(np.float64) * dy).sum())
 
-        _, tape = net.forward(Tensor(x), train=False)
-        dx = net.backward(tape, Tensor(dy))
-        assert_grads_close(dx.data, fd_grad(loss, x.copy()))
+        _, tape = net.forward(x, train=False)
+        dx = net.backward(tape, dy)
+        assert_grads_close(dx, fd_grad(loss, x.copy()))
 
     def test_eltwise_skip_gradients(self):
         rng = np.random.default_rng(22)
@@ -213,18 +266,18 @@ class TestBackward:
         x = rng.standard_normal((5, 3)).astype(np.float32)
         dy = rng.standard_normal((5, 4)).astype(np.float32)
 
-        out, tape = net.forward(Tensor(x), train=False)
+        out, tape = net.forward(x, train=False)
         # Forward is the residual sum of the two branch outputs.
-        assert np.array_equal(out.data,
+        assert np.array_equal(out,
                               tape.outputs[2].data + tape.outputs[1].data)
 
         def loss(xv):
-            o, _ = net.forward(Tensor(xv), train=False)
-            return float((o.data.astype(np.float64) * dy).sum())
+            o, _ = net.forward(xv, train=False)
+            return float((o.astype(np.float64) * dy).sum())
 
         net.zero_grads()
-        dx = net.backward(tape, Tensor(dy))
-        assert_grads_close(dx.data, fd_grad(loss, x.copy()))
+        dx = net.backward(tape, dy)
+        assert_grads_close(dx, fd_grad(loss, x.copy()))
 
     def test_lstm_network_gradient(self):
         # dx and the gradients of both LSTM weights and its bias, over
@@ -237,17 +290,17 @@ class TestBackward:
 
         def loss(xv):
             net.refresh_shadows()
-            out, _ = net.forward(Tensor(xv), train=False)
-            return float((out.data.astype(np.float64) * dy).sum())
+            out, _ = net.forward(xv, train=False)
+            return float((out.astype(np.float64) * dy).sum())
 
-        _, tape = net.forward(Tensor(x), train=False)
+        _, tape = net.forward(x, train=False)
         net.zero_grads()
-        dx = net.backward(tape, Tensor(dy))
-        assert_grads_close(dx.data, fd_grad(loss, x.copy()))
+        dx = net.backward(tape, dy)
+        assert_grads_close(dx, fd_grad(loss, x.copy()))
         w_ih, w_hh = net.layers[0].params
-        for param, grad in ((w_ih.master.data, w_ih.grad),
-                            (w_hh.master.data, w_hh.grad),
-                            (w_ih.bias.data, w_ih.bias_grad)):
+        for param, grad in ((w_ih.master, w_ih.grad),
+                            (w_hh.master, w_hh.grad),
+                            (w_ih.bias, w_ih.bias_grad)):
             assert np.any(grad != 0.0)
             # fd_grad perturbs the parameter in place; loss() refreshes
             # the shadows, which under FP32 copy the masters.  These
@@ -265,45 +318,45 @@ class TestBackward:
         dy = rng.standard_normal((2, 2)).astype(np.float32)
 
         def loss(xv):
-            out, _ = net.forward(Tensor(xv), train=False)
-            return float((out.data.astype(np.float64) * dy).sum())
+            out, _ = net.forward(xv, train=False)
+            return float((out.astype(np.float64) * dy).sum())
 
-        _, tape = net.forward(Tensor(x), train=False)
+        _, tape = net.forward(x, train=False)
         net.zero_grads()
-        dx = net.backward(tape, Tensor(dy))
-        assert_grads_close(dx.data, fd_grad(loss, x.copy()))
+        dx = net.backward(tape, dy)
+        assert_grads_close(dx, fd_grad(loss, x.copy()))
 
 
 class TestDropoutLayer:
     def test_eval_mode_is_identity(self):
         net = build_network([Dropout(0.5)], QuantPolicy.fp32(), RngStream(0))
-        x = Tensor(np.arange(10, dtype=np.float32).reshape(2, 5))
+        x = np.arange(10, dtype=np.float32).reshape(2, 5)
         out, _ = net.forward(x, train=False)
-        assert np.array_equal(out.data, x.data)
+        assert np.array_equal(out, x)
 
     def test_train_mode_needs_rng(self):
         net = build_network([Dropout(0.5)], QuantPolicy.fp32(), RngStream(0))
-        x = Tensor(np.ones((2, 5), np.float32))
+        x = np.ones((2, 5), np.float32)
         with pytest.raises(ValueError):
             net.forward(x, train=True)
 
     def test_train_mode_deterministic_per_step_rng(self):
         net = build_network([Dropout(0.5)], QuantPolicy.fp32(), RngStream(0))
-        x = Tensor(np.ones((4, 100), np.float32))
+        x = np.ones((4, 100), np.float32)
         a, _ = net.forward(x, train=True, step_rng=RngStream(1, 5))
         b, _ = net.forward(x, train=True, step_rng=RngStream(1, 5))
         c, _ = net.forward(x, train=True, step_rng=RngStream(1, 6))
-        assert np.array_equal(a.data, b.data)
-        assert not np.array_equal(a.data, c.data)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
 
 class TestUnderflowAccounting:
     def run_tiny_grads(self, policy):
         net = build_network([Dense(4, 4)], policy, RngStream(17))
-        x = Tensor(np.random.default_rng(25).standard_normal(
-            (8, 4)).astype(np.float32))
+        x = np.random.default_rng(25).standard_normal(
+            (8, 4)).astype(np.float32)
         _, tape = net.forward(x, train=True)
-        dy = Tensor(np.full((8, 4), 1e-12, np.float32))
+        dy = np.full((8, 4), 1e-12, np.float32)
         stats = QuantStats()
         net.zero_grads()
         net.backward(tape, dy, stats=stats)
@@ -349,9 +402,8 @@ class TestLstmQuantization:
         net = build_network([Lstm(self.I, self.H), Dense(self.H, 2)],
                             policy, RngStream(29))
         rng = np.random.default_rng(30)
-        x = Tensor(rng.standard_normal(
-            (self.N, self.T, self.I)).astype(np.float32))
-        dy = Tensor(rng.standard_normal((self.N, 2)).astype(np.float32))
+        x = rng.standard_normal((self.N, self.T, self.I)).astype(np.float32)
+        dy = rng.standard_normal((self.N, 2)).astype(np.float32)
         shapes = []
         if monkeypatch is not None:
             def recording(t, *args):
@@ -390,7 +442,7 @@ class TestLstmQuantization:
         assert len(steps) == self.T
         for xt, hq, _ in steps:
             for v in (xt, hq):
-                q = quantize_tensor(Tensor(v), Precision.BF16).data
+                q = quantize_array(v, Precision.BF16)
                 assert np.array_equal(v.view(np.uint32), q.view(np.uint32))
         # Under FP32 nothing is rounded: the fed-back state is the
         # cell's own output.
@@ -407,46 +459,42 @@ class TestQuantizationPlacement:
         # Identity weights: off the diagonal the output is Q(bias) != 0,
         # on it Q(1 + bias) == 1, so a dropped bias or one added after Q
         # both show.
-        ps.master.data[...] = np.eye(2, dtype=np.float32)
-        ps.bias.data[...] = np.float32(1e-5)
+        ps.master[...] = np.eye(2, dtype=np.float32)
+        ps.bias[...] = np.float32(1e-5)
         net.refresh_shadows()
-        x = Tensor(np.eye(2, dtype=np.float32))
+        x = np.eye(2, dtype=np.float32)
         out, _ = net.forward(x, train=False)
         # Output equals Q(shadow.T row + bias): bias added in FP32 first,
         # then the sum is projected onto the bf16 grid.
-        want = quantize_tensor(
-            Tensor(x.data @ ps.shadow.data.T + np.float32(1e-5)),
-            Precision.BF16)
-        assert np.array_equal(out.data, want.data)
+        want = quantize_array(x @ ps.shadow.T + np.float32(1e-5),
+                              Precision.BF16)
+        assert np.array_equal(out, want)
 
     def test_conv_output_quantized_after_fp32_channel_bias(self):
         net = build_network([Conv2d(1, 2, 1)], QuantPolicy.bf16(),
                             RngStream(19))
         ps = net.layers[0].params[0]
-        ps.master.data[...] = np.float32(1.0)
-        ps.bias.data[...] = np.float32([1e-5, 2e-5])
+        ps.master[...] = np.float32(1.0)
+        ps.bias[...] = np.float32([1e-5, 2e-5])
         net.refresh_shadows()
-        out, _ = net.forward(Tensor(np.float32([[[[0.0, 1.0]]]])),
-                             train=False)
+        out, _ = net.forward(np.float32([[[[0.0, 1.0]]]]), train=False)
         # Channel f reads Q(bias[f]) where the input is 0, so each channel
         # gets its own bias; where the input is 1 it reads Q(1 + bias[f]),
         # which is 1.0 only if the bias was added in FP32 before Q.
         for f, b in enumerate(np.float32([1e-5, 2e-5])):
-            q = quantize_tensor(Tensor(np.float32([b])), Precision.BF16)
-            assert out.data[0, f, 0, 0] == q.data[0] != 0.0
-            assert out.data[0, f, 0, 1] == np.float32(1.0)
-        assert out.data[0, 0, 0, 0] != out.data[0, 1, 0, 0]
+            q = quantize_array(b, Precision.BF16)
+            assert out[0, f, 0, 0] == q != 0.0
+            assert out[0, f, 0, 1] == np.float32(1.0)
+        assert out[0, 0, 0, 0] != out[0, 1, 0, 0]
 
     @pytest.mark.parametrize("specs, x_shape", [
         (mlp_specs(), (4, 2)),
-        ([Conv2d(1, 2, 3, pad=1), BatchNorm(2), Activation(RELU),
-          EltwiseAdd(source=0), Pool(PoolKind.MAX, 2, 2), Dropout(0.5),
-          Flatten(), Dense(8, 2)], (4, 1, 4, 4)),
+        (every_layer_kind(), (4, 1, 4, 4)),
     ], ids=["mlp", "every-layer-kind"])
     def test_activations_quantized_between_layers(self, specs, x_shape):
         net = build_network(specs, QuantPolicy.bf16(), RngStream(19))
-        x = Tensor(np.random.default_rng(26).standard_normal(
-            x_shape).astype(np.float32))
+        x = np.random.default_rng(26).standard_normal(
+            x_shape).astype(np.float32)
         _, tape = net.forward(x, train=True, step_rng=RngStream(1, 2))
         assert len(tape.outputs) == len(specs)
         for out in tape.outputs:
@@ -458,9 +506,10 @@ class TestQuantizationPlacement:
     def test_output_of_non_gemm_last_layer_quantized(self):
         net = build_network([Dense(2, 4), Activation(ActivationKind.TANH)],
                             QuantPolicy.bf16(), RngStream(19))
-        x = Tensor(np.random.default_rng(27).standard_normal(
-            (4, 2)).astype(np.float32))
-        out, _ = net.forward(x, train=False)
+        x = np.random.default_rng(27).standard_normal(
+            (4, 2)).astype(np.float32)
+        _, tape = net.forward(x, train=False)
+        out = tape.outputs[-1]
         assert out.tag is Precision.BF16
         requantized = quantize_tensor(out, Precision.BF16)
         assert np.array_equal(out.data.view(np.uint32),
@@ -474,8 +523,8 @@ class TestQuantizationPlacement:
         net = build_network([Dense(2, 4), BatchNorm(4), Dense(4, 2)],
                             QuantPolicy.fp16(), RngStream(31))
         rng = np.random.default_rng(32)
-        x = Tensor(rng.standard_normal((n, 2)).astype(np.float32))
-        dy = Tensor(rng.standard_normal((n, 2)).astype(np.float32))
+        x = rng.standard_normal((n, 2)).astype(np.float32)
+        dy = rng.standard_normal((n, 2)).astype(np.float32)
         _, tape = net.forward(x, train=True)
         stats = QuantStats()
         net.zero_grads()
