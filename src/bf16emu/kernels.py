@@ -20,6 +20,18 @@ loop.  Without subnormals, x86's ``VDPBF16PS`` gives the same bits as
 this order run over k with each adjacent pair of steps swapped
 (``tests/test_hardware.py``).
 
+Each step is a broadcast multiply and add, and NumPy pays a fixed cost
+per row of its inner loop, which runs along the output's last axis.  A
+tall, thin output (n < m) therefore pays for m short rows at every k
+step.  ``_gemm`` then builds the transposed output instead, as
+(b^T a^T)^T on a contiguous copy of a^T, so the rows run along m.  Each
+output element still sums the same FP32 products, each with a's element
+as the first factor, in increasing k from +0, so the bits do not
+change; only the layout NumPy loops over does.  The swap copies a and
+the result once, so it is taken only where the k steps repay that
+(``_gemm``).  Convolution lays its matrices out so that its GEMMs run
+along N*Ho*Wo without a swap.
+
 Convolution and pooling share one window gather and one scatter.
 ``_windows`` is a strided view of NumPy's ``sliding_window_view``;
 ``_im2col`` and pooling each copy it once into their own layout.
@@ -73,19 +85,39 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"gemm shapes incompatible: {a.shape} x {b.shape}")
     m, k = a.shape
     n = b.shape[1]
-    acc = np.zeros((m, n), np.float32)
-    if 2 <= m * n <= _CHUNKED_MAX_MN and k > 1:
-        _gemm_chunked(a, b, acc)
+    # The swap saves m - n row starts per k step and costs transposed
+    # copies of a and of the result.  On shapes up to m = 8192 it paid
+    # wherever k >= n/4, apart from outputs of a few hundred elements,
+    # where it lost 1-2 us; below k = n/4 it cost up to 3.3x (k = 1,
+    # n = 512).  With n == 1 the output is one contiguous line either way.
+    if 1 < n < m and n <= 4 * k:
+        at = np.ascontiguousarray(a.T)
+        acc = _gemm_rows(at[:, None, :], b[:, :, None], (n, m))
+        return np.ascontiguousarray(acc.T)
+    return _gemm_rows(a.T[:, :, None], b[:, None, :], (m, n))
+
+
+def _gemm_rows(x: np.ndarray, y: np.ndarray, shape) -> np.ndarray:
+    """Sum over j of x[j] * y[j], in increasing j, from +0.
+
+    ``x`` holds a's elements and ``y`` b's, as k-major views whose steps
+    broadcast to ``shape``, so a's element is always the first factor.
+    NumPy's inner loop runs along the last axis of ``shape``.
+    """
+    k = x.shape[0]
+    acc = np.zeros(shape, np.float32)
+    if 2 <= acc.size <= _CHUNKED_MAX_MN and k > 1:
+        _gemm_chunked(x, y, acc)
         return acc
-    tmp = np.empty((m, n), np.float32)
+    tmp = np.empty_like(acc)
     for j in range(k):
-        np.multiply(a[:, j, None], b[j, None, :], out=tmp)
+        np.multiply(x[j], y[j], out=tmp)
         acc += tmp
     return acc
 
 
-def _gemm_chunked(a: np.ndarray, b: np.ndarray, acc: np.ndarray) -> None:
-    """The loop of _gemm, one NumPy reduction per chunk of k steps.
+def _gemm_chunked(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
+    """The loop of _gemm_rows, one NumPy reduction per chunk of k steps.
 
     Row 0 of ``buf`` holds the running sum and rows 1.. the products of
     the chunk.  Reducing the leading axis adds them to row 0 one row at a
@@ -97,15 +129,13 @@ def _gemm_chunked(a: np.ndarray, b: np.ndarray, acc: np.ndarray) -> None:
     such shape tried with k >= 7.  Those shapes, k == 1 and large
     outputs stay on the loop.
     """
-    m, k = a.shape
-    n = b.shape[1]
+    k = x.shape[0]
     # m*n <= _CHUNKED_MAX_MN keeps the chunk length at 32 or more.
-    kc = min(_CHUNK_ELEMS // (m * n), k)
-    buf = np.empty((1 + kc, m, n), np.float32)
+    kc = min(_CHUNK_ELEMS // acc.size, k)
+    buf = np.empty((1 + kc,) + acc.shape, np.float32)
     for j in range(0, k, kc):
         c = min(kc, k - j)
-        np.multiply(a[:, j:j + c].T[:, :, None], b[j:j + c, None, :],
-                    out=buf[1:1 + c])
+        np.multiply(x[j:j + c], y[j:j + c], out=buf[1:1 + c])
         buf[0] = acc
         np.add.reduce(buf[:1 + c], axis=0, out=acc)
 
@@ -146,18 +176,26 @@ def _scatter(wins: np.ndarray, x_shape, stride: int, pad: int) -> np.ndarray:
     return xp
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int,
+            transposed: bool = False) -> np.ndarray:
+    """Window matrix: a row per output pixel (n, i, j), a column per
+    (c, u, v).  With ``transposed``, its transpose, copied straight from
+    the windows."""
     wins = _windows(x, k, stride, pad)
     n, c, ho, wo = wins.shape[:4]
+    if transposed:
+        return wins.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k,
+                                                        n * ho * wo)
     return wins.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * k * k)
 
 
-def _col2im(cols: np.ndarray, x_shape, k: int, stride: int,
+def _col2im(cols_t: np.ndarray, x_shape, k: int, stride: int,
             pad: int) -> np.ndarray:
+    """Adjoint of the transposed _im2col: cols_t is (C*k*k, N*Ho*Wo)."""
     n, c, h, w = x_shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(w, k, stride, pad)
-    wins = cols.reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    wins = cols_t.reshape(c, k, k, n, ho, wo).transpose(3, 0, 4, 5, 1, 2)
     return _scatter(wins, x_shape, stride, pad)
 
 
@@ -179,8 +217,9 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1,
     n, _, h, wd = x.shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(wd, k, stride, pad)
-    out = _gemm(_im2col(x, k, stride, pad), w.reshape(f, -1).T)
-    return out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2).copy()
+    # (F, C*k*k) x (C*k*k, N*Ho*Wo): rows run along N*Ho*Wo.
+    out = _gemm(w.reshape(f, -1), _im2col(x, k, stride, pad, transposed=True))
+    return out.reshape(f, n, ho, wo).transpose(1, 0, 2, 3).copy()
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
@@ -192,11 +231,12 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
     wo = _out_extent(wd, k, stride, pad)
     if dy.shape != (n, f, ho, wo):
         raise ShapeError(f"conv dy shape {dy.shape} != {(n, f, ho, wo)}")
-    dy_mat = dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
+    # dy as (F, N*Ho*Wo): the rows of dx's GEMM run along N*Ho*Wo, and
+    # dw's long k runs down the contiguous window matrix.
+    dy_t = dy.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
     wmat = w.reshape(f, -1)
-    cols = _im2col(x, k, stride, pad)
-    dx = _col2im(_gemm(dy_mat, wmat), x.shape, k, stride, pad)
-    dw = _gemm(dy_mat.T, cols).reshape(w.shape)
+    dx = _col2im(_gemm(wmat.T, dy_t), x.shape, k, stride, pad)
+    dw = _gemm(dy_t, _im2col(x, k, stride, pad)).reshape(w.shape)
     return dx, dw
 
 

@@ -65,7 +65,6 @@ __all__ = [
 class Dense:
     in_features: int
     out_features: int
-    has_bias: bool = True
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class Conv2d:
     kernel: int
     stride: int = 1
     pad: int = 0
-    has_bias: bool = True
 
 
 @dataclass(frozen=True)
@@ -241,17 +239,14 @@ class _DenseLayer(_Layer):
         w = init_tensor((spec.out_features, spec.in_features),
                         XavierUniform(spec.in_features, spec.out_features),
                         rng.child(0))
-        bias = (np.zeros(spec.out_features, np.float32) if spec.has_bias
-                else None)
-        self.params = [ParamSet(f"dense{index}.w", w, bias)]
+        self.params = [ParamSet(f"dense{index}.w", w,
+                                np.zeros(spec.out_features, np.float32))]
 
     def forward(self, x, ctx, tape):
         if x.data.ndim != 2 or x.shape[1] != self.spec.in_features:
             raise ShapeError(f"dense{self.index} input shape {x.shape}")
         ps = self.params[0]
-        y = K._gemm(x.data, ps.shadow.T)
-        if ps.bias is not None:
-            y = y + ps.bias
+        y = K._gemm(x.data, ps.shadow.T) + ps.bias
         tape.caches.append(x)
         return Tensor(y)
 
@@ -259,8 +254,7 @@ class _DenseLayer(_Layer):
         x = cache
         ps = self.params[0]
         ps.grad += K._gemm(dy.data.T, x.data)
-        if ps.bias is not None:
-            ps.bias_grad += dy.data.sum(axis=0, dtype=np.float32)
+        ps.bias_grad += dy.data.sum(axis=0, dtype=np.float32)
         return Tensor(K._gemm(dy.data, ps.shadow))
 
 
@@ -274,16 +268,13 @@ class _ConvLayer(_Layer):
         w = init_tensor((spec.out_channels, spec.in_channels,
                          spec.kernel, spec.kernel), HeNormal(fan_in),
                         rng.child(0))
-        bias = (np.zeros(spec.out_channels, np.float32) if spec.has_bias
-                else None)
-        self.params = [ParamSet(f"conv{index}.w", w, bias)]
+        self.params = [ParamSet(f"conv{index}.w", w,
+                                np.zeros(spec.out_channels, np.float32))]
 
     def forward(self, x, ctx, tape):
         ps = self.params[0]
         y = K.conv2d_forward(x.data, ps.shadow, self.spec.stride,
-                             self.spec.pad)
-        if ps.bias is not None:
-            y = y + ps.bias[:, None, None]
+                             self.spec.pad) + ps.bias[:, None, None]
         tape.caches.append(x.data)
         return Tensor(y)
 
@@ -292,8 +283,7 @@ class _ConvLayer(_Layer):
         dx, dw = K.conv2d_backward(cache, ps.shadow, dy.data,
                                    self.spec.stride, self.spec.pad)
         ps.grad += dw
-        if ps.bias is not None:
-            ps.bias_grad += dy.data.sum(axis=(0, 2, 3), dtype=np.float32)
+        ps.bias_grad += dy.data.sum(axis=(0, 2, 3), dtype=np.float32)
         return Tensor(dx)
 
 

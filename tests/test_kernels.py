@@ -103,6 +103,29 @@ def conv_dx_oracle(x_shape, w, dy, stride, pad):
     return dx
 
 
+def conv_dw_oracle(x, w_shape, dy, stride, pad):
+    """dw of a convolution: each weight sums its products over the output
+    pixels (n, i, j) in row-major order, into +0, padding included."""
+    f, c, kh, kw = w_shape
+    n, _, ho, wo = dy.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dw = np.zeros(w_shape, np.float32)
+    for fo in range(f):
+        for ci in range(c):
+            for u in range(kh):
+                for v in range(kw):
+                    acc = np.float32(0.0)
+                    for b in range(n):
+                        for i in range(ho):
+                            for j in range(wo):
+                                acc = np.float32(acc + np.float32(
+                                    dy[b, fo, i, j]
+                                    * xp[b, ci, i * stride + u,
+                                         j * stride + v]))
+                    dw[fo, ci, u, v] = acc
+    return dw
+
+
 def pool_oracle(kind, x, window, stride, dy):
     """(y, dx) of pooling by scalar loops.  Max takes the first row-major
     winner; avg sums its window in row-major order (NumPy reduces fewer
@@ -241,6 +264,25 @@ class TestGemm:
         got = _gemm(a, b)
         assert np.array_equal(got.view(np.uint32), np.zeros((m, n), np.uint32))
 
+    # Tall outputs (n < m) with n > 1 and k >= n/4 run transposed (see
+    # kernels._gemm): (8192, 9, 8) on the per-k loop, (128, 128, 32) and
+    # (64, 72, 16) on the chunked path; n == 1 and (512, 1, 128) stay on
+    # rows.  The result must come back C-contiguous, since reductions
+    # downstream follow the layout.
+    @pytest.mark.parametrize("shape", [(8192, 9, 8), (128, 128, 32),
+                                       (128, 128, 1), (512, 1, 128),
+                                       (64, 72, 16)])
+    def test_tall_outputs_match_per_k_loop(self, shape):
+        m, k, n = shape
+        rng = np.random.default_rng(m + k + n)
+        a = rand_bf16(rng, (m, k))
+        b = rand_bf16(rng, (k, n))
+        for x, y in ((a, b), (np.asfortranarray(a), np.asfortranarray(b))):
+            got = _gemm(x, y)
+            assert got.flags.c_contiguous
+            want = gemm_loop(a, b)
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_inf_and_nan_propagate_like_scalar_oracle(self):
         rng = np.random.default_rng(5)
@@ -251,10 +293,32 @@ class TestGemm:
         a[1, 6] = -np.inf
         a[2, 2] = np.nan
         b[7, 4] = np.inf
-        got = _gemm(a, b)
-        want = gemm_oracle(a, b)
-        assert np.isnan(got[0, 1]) and np.isnan(got[2]).all()
-        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        # (4, 9, 5), then its transposed copy (5, 9, 4), which runs
+        # transposed.
+        for transposed in (False, True):
+            x, y = (b.T.copy(), a.T.copy()) if transposed else (a, b)
+            got = _gemm(x, y)
+            want = gemm_oracle(x, y)
+            g = got.T if transposed else got
+            assert np.isnan(g[0, 1]) and np.isnan(g[2]).all()
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(4, 9, 5), (5, 9, 4), (12, 3, 2)])
+    def test_nan_times_nan_keeps_a_payload(self, shape):
+        # x86 returns the first operand's NaN when both are NaN.  On these
+        # short rows np.multiply's loop does too, so the product keeps a's
+        # payload, as in the per-k loop, only while a's element is the
+        # first factor, in either orientation.  (The scalar oracle's
+        # compiled multiply returns b's.)
+        m, k, n = shape
+        a = np.ones((m, k), np.float32)
+        b = np.ones((k, n), np.float32)
+        a[1, 2] = np.uint32(0x7FC00001).view(np.float32)
+        b[2, 1] = np.uint32(0xFFC00002).view(np.float32)
+        got = _gemm(a, b).view(np.uint32)
+        assert got[1, 1] == 0x7FC00001
+        assert np.array_equal(got, gemm_loop(a, b).view(np.uint32))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("inputs", ["fp32", "bf16"])
@@ -364,6 +428,17 @@ class TestConv:
         dx, _ = conv2d_backward(x, w, dy, stride, 1)
         want = conv_dx_oracle(x.shape, w, dy, stride, 1)
         assert np.array_equal(dx.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_backward_dw_matches_scalar_oracle(self, stride):
+        rng = np.random.default_rng(50 + stride)
+        x = rand_bf16(rng, (2, 2, 5, 5))
+        w = rand_bf16(rng, (3, 2, 3, 3))
+        dy = rand_bf16(rng, (2, 3, 5 if stride == 1 else 3,
+                             5 if stride == 1 else 3))
+        _, dw = conv2d_backward(x, w, dy, stride, 1)
+        want = conv_dw_oracle(x, w.shape, dy, stride, 1)
+        assert np.array_equal(dw.view(np.uint32), want.view(np.uint32))
 
     def test_backward_vs_finite_differences(self):
         rng = np.random.default_rng(6)
