@@ -32,14 +32,22 @@ the result once, so it is taken only where the k steps repay that
 (``_gemm``).  Convolution lays its matrices out so that its GEMMs run
 along N*Ho*Wo without a swap.
 
-Convolution and pooling share one window gather and one scatter.
-``_windows`` is a strided view of NumPy's ``sliding_window_view``;
-``_im2col`` and pooling each copy it once into their own layout.
-``_scatter`` adds windows back into a +0 image one (u, v) offset at a
-time, so each pixel sees its contributions in that fixed order; conv's
-``_col2im`` and pooling's backward both end in it.  Pooling does not go
-through ``_im2col``/``_col2im`` themselves, so a trace that wraps those
-names times convolution alone.
+Convolution and pooling share one window gather, ``_windows``, a
+strided view of NumPy's ``sliding_window_view``; ``_im2col`` and pooling
+each copy it once into their own layout, max pooling as one contiguous
+slot per window offset.  ``_scatter`` adds windows back into a +0 image
+one (u, v) offset at a time, so each pixel sees its contributions in
+that fixed order; conv's ``_col2im`` ends in it, and so does pooling's
+backward, except max pooling's with stride == window: there each pixel
+takes at most one share, which is written in place with the bits
+``_scatter`` would give.  Pooling does not go through
+``_im2col``/``_col2im`` themselves, so a trace that wraps those names
+times convolution alone.
+
+ReLU's backward and max pooling select values with bit masks
+(``_mask``), not with ``np.where`` or ``np.argmax``: NumPy's select
+branches per element, which is slow on a random mask.  Their results
+are elements of their inputs, bit for bit, or +0.
 """
 
 from __future__ import annotations
@@ -290,6 +298,13 @@ def batchnorm_backward(dy: np.ndarray, gamma: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 
 
+def _mask(keep: np.ndarray) -> np.ndarray:
+    """uint32 all-ones where ``keep`` is true, all-zeros elsewhere."""
+    m = keep.astype(np.uint32)
+    np.negative(m, out=m)
+    return m
+
+
 class ActivationKind(Enum):
     RELU = "relu"
     LEAKY_RELU = "leaky_relu"
@@ -319,7 +334,9 @@ def activation_backward(kind: ActivationKind, x: np.ndarray, dy: np.ndarray,
     if x.shape != dy.shape:
         raise ShapeError("activation backward shape mismatch")
     if kind is ActivationKind.RELU:
-        return np.where(x > 0, dy, np.float32(0))
+        # np.where(x > 0, dy, +0) as a bit mask: on a random mask np.where
+        # branches per element and took 13x as long.
+        return (dy.view(np.uint32) & _mask(x > 0)).view(np.float32)
     if kind is ActivationKind.LEAKY_RELU:
         return np.where(x > 0, dy, np.float32(alpha) * dy)
     if kind is ActivationKind.SIGMOID:
@@ -342,16 +359,31 @@ class PoolKind(Enum):
 
 
 def pool_forward(kind: PoolKind, x: np.ndarray, window: int, stride: int):
-    """Returns (y, cache); max pooling records first row-major winner."""
+    """Returns (y, cache).  Max pooling picks, bit for bit, the element
+    np.argmax would: the first row-major winner, or the first NaN."""
     wins = _windows(x, window, stride, 0)
-    wins = wins.reshape(wins.shape[:4] + (window * window,))
-    if kind is PoolKind.MAX:
-        arg = np.argmax(wins, axis=-1)
-        y = np.take_along_axis(wins, arg[..., None], axis=-1)[..., 0]
-    else:
-        arg = None
+    if kind is PoolKind.AVG:
+        wins = wins.reshape(wins.shape[:4] + (window * window,))
         y = wins.mean(axis=-1, dtype=np.float32)
-    return y, (kind, x.shape, window, stride, arg)
+        return y, (kind, x.shape, window, stride, None)
+    # One contiguous (window**2, N, C, Ho, Wo) copy: each pass below then
+    # runs over whole slots, not over rows `window` elements long.
+    slots = np.ascontiguousarray(wins.transpose(4, 5, 0, 1, 2, 3))
+    slots = slots.reshape((window * window,) + wins.shape[:4])
+    bits = slots.view(np.uint32)
+    best = bits[0].copy()
+    arg = np.zeros(best.shape, np.min_scalar_type(len(slots) - 1))
+    has_nan = bool(np.isnan(x).any())
+    for p in range(1, len(slots)):
+        cur = best.view(np.float32)
+        take = slots[p] > cur
+        if has_nan:
+            take |= np.isnan(slots[p]) & ~np.isnan(cur)
+        # Select p's bits where it wins; the passes run in increasing p,
+        # so the winner's index is the largest p taken.
+        best ^= (best ^ bits[p]) & _mask(take)
+        np.maximum(arg, take * arg.dtype.type(p), out=arg)
+    return best.view(np.float32), (kind, x.shape, window, stride, arg)
 
 
 def pool_backward(dy: np.ndarray, cache) -> np.ndarray:
@@ -363,15 +395,28 @@ def pool_backward(dy: np.ndarray, cache) -> np.ndarray:
     wo = _out_extent(w, window, stride, 0)
     if dy.shape != (n, c, ho, wo):
         raise ShapeError(f"pool dy shape {dy.shape} != {(n, c, ho, wo)}")
-    k = window * window
-    if kind is PoolKind.MAX:
-        wins = np.zeros((n, c, ho, wo, k), np.float32)
-        np.put_along_axis(wins, arg[..., None], dy[..., None], axis=-1)
+    k = window
+    if kind is PoolKind.AVG:
+        share = (dy / np.float32(k * k)).astype(np.float32)
+        wins = np.broadcast_to(share[..., None, None], (n, c, ho, wo, k, k))
+        return _scatter(wins, x_shape, stride, 0)
+    if stride == window:
+        # The windows tile the image, bar a border they miss: each pixel
+        # takes at most one share, written in place.  _scatter would add
+        # it into +0; dy + 0 gives the same bits (-0 becomes +0).
+        src = dy + np.float32(0)
+        dx = np.zeros(x_shape, np.float32)
+        shares = dx[:, :, :ho * k, :wo * k].reshape(
+            n, c, ho, k, wo, k).transpose(3, 5, 0, 1, 2, 4)
     else:
-        share = (dy / np.float32(k)).astype(np.float32)
-        wins = np.broadcast_to(share[..., None], (n, c, ho, wo, k))
-    return _scatter(wins.reshape(n, c, ho, wo, window, window), x_shape,
-                    stride, 0)
+        src = dy
+        shares = np.empty((k, k, n, c, ho, wo), np.float32)
+    for p in range(k * k):
+        np.bitwise_and(src.view(np.uint32), _mask(arg == p),
+                       out=shares[p // k, p % k].view(np.uint32))
+    if stride == window:
+        return dx
+    return _scatter(shares.transpose(2, 3, 4, 5, 0, 1), x_shape, stride, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,16 @@ included, goes through `_quantize`, and which tensors it skips is one
 fixed table, `_FP32_ROLES`.  The policy sets only the format and
 rounding; with an FP32 policy `_quantize` is the identity and the
 engine is a plain FP32 network.
+
+A layer whose results are exact in its input's format keeps the input's
+tag, so `_quantize` skips them: Flatten, and the selecting layers
+(`_Layer.selects`), ReLU and max pooling with stride >= window, in both
+directions.  Quantizing an exact value leaves its bits as they are, so
+skipping it changes no result.  Overlapping max pooling sums gradients,
+and avg pooling and LeakyReLU compute new values; they are quantized.
+`QuantStats` still counts each error gradient a selecting layer passes
+back, as the quantization it skips would have, so `grad_underflow_frac`
+does not depend on the skip; Flatten's pass-through is not counted.
 """
 
 from __future__ import annotations
@@ -193,17 +203,22 @@ class _Ctx:
 _FP32_ROLES = {"batchnorm": ("weight", "err")}
 
 
-def _quantize(t: Tensor, ctx: _Ctx, layer_class: str, role: str) -> Tensor:
+def _quantize(t: Tensor, ctx: _Ctx, layer_class: str, role: str,
+              selected: bool = False) -> Tensor:
     """Quantize ``t``, the ``role`` tensor of a ``layer_class`` layer,
-    unless the policy is FP32, ``t`` is already in its format or
-    ``_FP32_ROLES`` keeps the role; returns ``t`` itself then.
+    unless the policy is FP32, ``_FP32_ROLES`` keeps the role or ``t`` is
+    already in its format; returns ``t`` itself then.
 
-    Error gradients are recorded in the context's stats.
+    Error gradients are recorded in the context's stats.  A ``selected``
+    one, passed back with its tag by a selecting layer, is recorded too,
+    as quantizing it would have been: an exact value loses nothing.
     """
     policy = ctx.policy
-    if policy.identity or t.tag is policy.precision:
+    if policy.identity or role in _FP32_ROLES.get(layer_class, ()):
         return t
-    if role in _FP32_ROLES.get(layer_class, ()):
+    if t.tag is policy.precision:
+        if selected and role == "err" and ctx.stats is not None:
+            ctx.stats.record(t.data, t.data)
         return t
     q = quantize_tensor(t, policy.precision, policy.mode)
     if role == "err" and ctx.stats is not None:
@@ -218,10 +233,19 @@ def _quantize(t: Tensor, ctx: _Ctx, layer_class: str, role: str) -> Tensor:
 
 class _Layer:
     layer_class = "gemm"
+    # True where forward only selects or zeros elements of x, and backward
+    # those of dy: the results are exact in their input's format, so they
+    # keep its tag and `_quantize` skips them.
+    selects = False
 
     def __init__(self, index: int):
         self.index = index
         self.params: list[ParamSet] = []
+
+    def _result(self, data: np.ndarray, source: Tensor) -> Tensor:
+        """``data`` as a Tensor, with ``source``'s tag if the layer
+        selects."""
+        return Tensor(data, source.tag) if self.selects else Tensor(data)
 
     def forward(self, x: Tensor, ctx: _Ctx, tape: Tape) -> Tensor:
         raise NotImplementedError
@@ -318,15 +342,16 @@ class _ActivationLayer(_Layer):
     def __init__(self, index, spec: Activation, rng: RngStream):
         super().__init__(index)
         self.spec = spec
+        self.selects = spec.kind is ActivationKind.RELU
 
     def forward(self, x, ctx, tape):
         tape.caches.append(x.data)
-        return Tensor(K.activation_forward(self.spec.kind, x.data,
-                                           self.spec.alpha))
+        return self._result(K.activation_forward(self.spec.kind, x.data,
+                                                 self.spec.alpha), x)
 
     def backward(self, dy, ctx, cache):
-        return Tensor(K.activation_backward(self.spec.kind, cache, dy.data,
-                                            self.spec.alpha))
+        return self._result(K.activation_backward(
+            self.spec.kind, cache, dy.data, self.spec.alpha), dy)
 
 
 class _PoolLayer(_Layer):
@@ -335,15 +360,18 @@ class _PoolLayer(_Layer):
     def __init__(self, index, spec: Pool, rng: RngStream):
         super().__init__(index)
         self.spec = spec
+        # Overlapping windows sum gradients where they overlap.
+        self.selects = (spec.kind is PoolKind.MAX
+                        and spec.stride >= spec.window)
 
     def forward(self, x, ctx, tape):
         y, cache = K.pool_forward(self.spec.kind, x.data, self.spec.window,
                                   self.spec.stride)
         tape.caches.append(cache)
-        return Tensor(y)
+        return self._result(y, x)
 
     def backward(self, dy, ctx, cache):
-        return Tensor(K.pool_backward(dy.data, cache))
+        return self._result(K.pool_backward(dy.data, cache), dy)
 
 
 class _DropoutLayer(_Layer):
@@ -536,12 +564,14 @@ class Network:
         ctx = _Ctx(self.policy, stats=stats)
         pending: dict[int, np.ndarray] = {}
         grad = Tensor(dy)
+        selected = False
         for i in range(len(self.layers) - 1, -1, -1):
             if i in pending:
                 grad = Tensor(grad.data + pending.pop(i))
             layer = self.layers[i]
-            grad = _quantize(grad, ctx, layer.layer_class, "err")
+            grad = _quantize(grad, ctx, layer.layer_class, "err", selected)
             grad = layer.backward(grad, ctx, tape.caches[i])
+            selected = layer.selects
             if isinstance(layer, _EltwiseAddLayer):
                 src = layer.spec.source
                 pending[src] = pending.get(src, 0) + grad.data

@@ -128,9 +128,10 @@ def conv_dw_oracle(x, w_shape, dy, stride, pad):
 
 def pool_oracle(kind, x, window, stride, dy):
     """(y, dx) of pooling by scalar loops.  Max takes the first row-major
-    winner; avg sums its window in row-major order (NumPy reduces fewer
-    than 8 addends in order) and divides by window**2.  Each input pixel
-    adds its windows' shares in (u, v) order into +0."""
+    winner, or the first NaN; avg sums its window in row-major order
+    (NumPy reduces fewer than 8 addends in order) and divides by
+    window**2.  Each input pixel adds its windows' shares in (u, v) order
+    into +0."""
     n, c, h, w = x.shape
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
@@ -144,9 +145,12 @@ def pool_oracle(kind, x, window, stride, dy):
                     vals = [x[b, ch, i * stride + u, j * stride + v]
                             for u in range(window) for v in range(window)]
                     if kind is PoolKind.MAX:
+                        # As np.argmax: the first NaN wins outright.
                         best = 0
                         for t in range(1, len(vals)):
-                            if vals[t] > vals[best]:
+                            if np.isnan(vals[best]):
+                                break
+                            if np.isnan(vals[t]) or vals[t] > vals[best]:
                                 best = t
                         y[b, ch, i, j] = vals[best]
                         share[b, ch, i, j].flat[best] = dy[b, ch, i, j]
@@ -575,6 +579,28 @@ class TestActivations:
                                  np.float32([3.0, 3.0]))
         assert np.array_equal(dx, np.float32([0.0, 3.0]))
 
+    def test_relu_backward_bits_match_where(self):
+        # x > 0 gates dy bit for bit: NaN and both zeros in x close the
+        # gate (+0 out), and an open gate passes -0 and NaN payloads of dy.
+        rng = np.random.default_rng(15)
+        specials = np.float32([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf])
+        x = rng.standard_normal(4096).astype(np.float32)
+        odd = rng.random(x.size) < 0.3
+        x[odd] = rng.choice(specials, int(odd.sum()))
+        x[:36] = np.repeat(specials, 6)
+        dy = rng.standard_normal(4096).astype(np.float32)
+        dy[rng.random(dy.size) < 0.2] = -0.0
+        nan_bits = np.uint32([0x7FC00001, 0xFFC00002, 0x7F800003])
+        where = rng.random(dy.size) < 0.2
+        dy.view(np.uint32)[where] = rng.choice(nan_bits, int(where.sum()))
+        dy[:36] = np.tile(np.float32([1.0, -0.0, np.nan, 2.0, -3.0, 0.0]), 6)
+        for shape in [(4096,), (64, 64), (4, 4, 16, 16)]:
+            xs, dys = x.reshape(shape), dy.reshape(shape)
+            want = np.where(xs > 0, dys, np.float32(0))
+            got = activation_backward(ActivationKind.RELU, xs, dys)
+            assert got.dtype == np.float32 and got.shape == shape
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
     def test_sigmoid_derivative_at_zero(self):
         dx = activation_backward(ActivationKind.SIGMOID, np.float32([0.0]),
                                  np.float32([1.0]))
@@ -674,6 +700,78 @@ class TestPool:
         want_y, want_dx = pool_oracle(kind, x, window, stride, dy)
         assert np.array_equal(y.view(np.uint32), want_y.view(np.uint32))
         assert np.array_equal(dx.view(np.uint32), want_dx.view(np.uint32))
+
+    @pytest.mark.parametrize("hw, window, stride", [
+        ((8, 8), 2, 2), ((7, 8), 2, 2), ((7, 8), 3, 1), ((7, 8), 2, 3),
+    ], ids=["tiling", "border", "overlapping", "holes"])
+    def test_max_nan_payloads_match_scalar_oracle(self, hw, window, stride):
+        # The first NaN of a window in row-major order wins, with its
+        # payload, as in np.argmax; max windows hold ties of +0 and -0.
+        rng = np.random.default_rng(hw[0] * 100 + window * 10 + stride)
+        x = rng.integers(-2, 3, (2, 3) + hw).astype(np.float32)
+        x[x == 0] = rng.choice(np.float32([0.0, -0.0]), int((x == 0).sum()))
+        nans = rng.random(x.shape) < 0.15
+        x.view(np.uint32)[nans] = rng.choice(
+            np.uint32([0x7FC00001, 0xFFC00002, 0x7FC00003, 0x7F800004]),
+            int(nans.sum()))
+        ho = (hw[0] - window) // stride + 1
+        wo = (hw[1] - window) // stride + 1
+        dy = rng.standard_normal((2, 3, ho, wo)).astype(np.float32)
+        dy[rng.random(dy.shape) < 0.25] = -0.0
+        if stride >= window:
+            # One share per pixel, so a NaN payload in dy reaches dx with
+            # no NaN + NaN whose payload would depend on the add's order.
+            dy.view(np.uint32)[rng.random(dy.shape) < 0.15] = 0xFFC00005
+        y, cache = pool_forward(PoolKind.MAX, x, window, stride)
+        dx = pool_backward(dy, cache)
+        want_y, want_dx = pool_oracle(PoolKind.MAX, x, window, stride, dy)
+        assert np.array_equal(y.view(np.uint32), want_y.view(np.uint32))
+        assert np.array_equal(dx.view(np.uint32), want_dx.view(np.uint32))
+
+    def test_max_zero_ties_keep_the_first_sign(self):
+        x = np.float32([[[[-0.0, 0.0, 0.0, -0.0],
+                          [0.0, -0.0, -0.0, 0.0]]]])
+        y, cache = pool_forward(PoolKind.MAX, x, 2, 2)
+        assert y.view(np.uint32).tolist() == [[[[0x80000000, 0x00000000]]]]
+        dx = pool_backward(np.float32([[[[1.0, 2.0]]]]), cache)
+        assert dx.tolist() == [[[[1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]]
+
+    @pytest.mark.parametrize("hw, window, stride", [
+        ((8, 8), 2, 2), ((7, 8), 2, 2), ((7, 8), 3, 1), ((7, 8), 2, 3),
+    ], ids=["tiling", "border", "overlapping", "holes"])
+    def test_max_backward_of_negative_zero_is_positive_zero(self, hw, window,
+                                                            stride):
+        # Every pixel starts at +0 and +0 + -0 is +0: winners, losers,
+        # the missed border and the holes between windows all read +0.
+        x = np.random.default_rng(16).standard_normal(
+            (2, 2) + hw).astype(np.float32)
+        y, cache = pool_forward(PoolKind.MAX, x, window, stride)
+        dx = pool_backward(np.full(y.shape, -0.0, np.float32), cache)
+        assert dx.shape == x.shape
+        assert not np.any(dx.view(np.uint32))
+
+    @pytest.mark.parametrize("window", [16, 17])
+    def test_max_wide_window_indexes_every_slot(self, window):
+        # 256 and 289 slots: winners in the last slots show an index type
+        # too narrow for them.
+        k2 = window * window
+        slots = [0, 127, 128, 200, 255, k2 - 1]
+        x = np.tile(np.arange(k2, dtype=np.float32)[::-1].reshape(
+            window, window), (1, len(slots) + 1, 1, 1))
+        for ch, s in enumerate(slots):
+            x[0, ch].flat[s] = np.float32(1000 + s)
+        # A NaN in slot 200 beats the larger values after it.
+        x[0, -1].flat[200] = np.nan
+        x[0, -1].flat[k2 - 1] = np.float32(5000)
+        dy = np.arange(1, len(slots) + 2, dtype=np.float32).reshape(
+            1, -1, 1, 1)
+        y, cache = pool_forward(PoolKind.MAX, x, window, window)
+        dx = pool_backward(dy, cache)
+        for ch, s in enumerate(slots + [200]):
+            assert y[0, ch, 0, 0].tobytes() == x[0, ch].flat[s].tobytes()
+            want = np.zeros(k2, np.float32)
+            want[s] = dy[0, ch, 0, 0]
+            assert np.array_equal(dx[0, ch].reshape(-1), want)
 
     def test_window_too_large(self):
         with pytest.raises(ShapeError):

@@ -530,3 +530,119 @@ class TestQuantizationPlacement:
         net.zero_grads()
         net.backward(tape, dy, stats=stats)
         assert stats.nonzero == n * 2 + n * 4
+
+
+class TestSelectionPassThrough:
+    """ReLU and non-overlapping max pooling only select or zero values, so
+    their results keep their input's tag and are not quantized again;
+    the error gradients they pass back are still counted."""
+
+    X_SHAPE = (4, 1, 6, 6)
+
+    @staticmethod
+    def selecting():
+        return [Conv2d(1, 2, 3, pad=1), Activation(RELU),
+                Pool(PoolKind.MAX, 2, 3), Flatten(), Dense(8, 3)]
+
+    @staticmethod
+    def non_selecting():
+        return [Conv2d(1, 2, 3, pad=1),
+                Activation(ActivationKind.LEAKY_RELU),
+                Pool(PoolKind.MAX, 3, 1), Pool(PoolKind.AVG, 2, 2),
+                Flatten(), Dense(8, 3)]
+
+    def run(self, specs, policy, monkeypatch):
+        """One forward and backward; returns the (layer class, role) of
+        each quantize_tensor call per pass, the stats, and per layer the
+        gradient it received and the one it passed back."""
+        net = build_network(specs, policy, RngStream(41))
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal(self.X_SHAPE).astype(np.float32)
+        # Small enough that fp16 flushes some of the error gradients.
+        dy = (rng.standard_normal((4, 3)) * 2.0 ** -23).astype(np.float32)
+        calls, site = [], []
+        original = netgraph._quantize
+
+        def quantize(t, ctx, layer_class, role, *args):
+            site.append((layer_class, role))
+            try:
+                return original(t, ctx, layer_class, role, *args)
+            finally:
+                site.pop()
+
+        def recording(t, *args):
+            calls.append(site[-1])
+            return quantize_tensor(t, *args)
+
+        grads = {}
+        for layer in net.layers:
+            def backward(g, ctx, cache, layer=layer,
+                         inner=layer.backward):
+                out = inner(g, ctx, cache)
+                grads[layer.index] = (g.data, out.data)
+                return out
+            monkeypatch.setattr(layer, "backward", backward)
+        monkeypatch.setattr(netgraph, "_quantize", quantize)
+        monkeypatch.setattr(netgraph, "quantize_tensor", recording)
+        _, tape = net.forward(x, train=True)
+        n_forward = len(calls)
+        stats = QuantStats()
+        net.backward(tape, dy, stats=stats)
+        return (sorted(calls[:n_forward]), sorted(calls[n_forward:]), stats,
+                dy, grads)
+
+    @pytest.mark.parametrize("policy", [QuantPolicy.bf16(),
+                                        QuantPolicy.fp16()],
+                             ids=["bf16", "fp16"])
+    def test_selections_are_not_quantized_again(self, policy, monkeypatch):
+        fwd, bwd, _, _, _ = self.run(self.selecting(), policy, monkeypatch)
+        # The network input and the conv and dense outputs; the ReLU,
+        # pool and flatten outputs keep their tag.
+        assert fwd == [("conv", "act"), ("conv", "act"), ("gemm", "act")]
+        # The gradients entering dense and flatten; those that flatten,
+        # the pool and the ReLU pass back keep their tag.
+        assert bwd == [("eltwise", "err"), ("gemm", "err")]
+
+    @pytest.mark.parametrize("policy", [QuantPolicy.bf16(),
+                                        QuantPolicy.fp16()],
+                             ids=["bf16", "fp16"])
+    def test_non_selections_are_quantized(self, policy, monkeypatch):
+        fwd, bwd, _, _, _ = self.run(self.non_selecting(), policy,
+                                     monkeypatch)
+        assert fwd == sorted([("conv", "act"), ("conv", "act"),
+                              ("activation", "act"), ("pool", "act"),
+                              ("pool", "act"), ("gemm", "act")])
+        # Flatten passes its gradient to the avg pool with its tag; the
+        # avg pool, the overlapping max pool and LeakyReLU do not.
+        assert bwd == sorted([("gemm", "err"), ("eltwise", "err"),
+                              ("pool", "err"), ("activation", "err"),
+                              ("conv", "err")])
+
+    @pytest.mark.parametrize("policy, precision", [
+        (QuantPolicy.bf16(), Precision.BF16),
+        (QuantPolicy.fp16(), Precision.FP16)], ids=["bf16", "fp16"])
+    def test_stats_count_the_gradients_selections_pass_back(
+            self, policy, precision, monkeypatch):
+        _, _, stats, dy, grads = self.run(self.selecting(), policy,
+                                          monkeypatch)
+        # The gradient entering layer i, before and after quantization:
+        # what layer i + 1 passed back, and what layer i received.
+        before = {i: grads[i + 1][1] if i + 1 in grads else dy
+                  for i in grads}
+        # Counted: the gradients entering dense (4) and flatten (3), and
+        # those the ReLU (into 0) and the pool (into 1) pass back with
+        # their tag.  Flatten's pass-through into the pool (2) is not.
+        counted = (4, 3, 1, 0)
+        nonzero = sum(int(np.count_nonzero(before[i])) for i in counted)
+        zeroed = sum(int(np.count_nonzero((before[i] != 0)
+                                          & (grads[i][0] == 0)))
+                     for i in counted)
+        assert (stats.nonzero, stats.zeroed) == (nonzero, zeroed)
+        assert stats.nonzero > 0
+        if precision is Precision.FP16:
+            assert stats.zeroed > 0
+        # The selections passed back values already in the format.
+        for i in (1, 0):
+            q = quantize_array(before[i], precision)
+            assert np.array_equal(q.view(np.uint32),
+                                  before[i].view(np.uint32))
