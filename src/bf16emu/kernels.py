@@ -11,13 +11,17 @@ quantizes the hidden state and the gate gradients between them.
 Reduction order is fixed so results are bit-reproducible.  The GEMM
 never calls BLAS, whose blocked sums take another order.  It adds one k
 step at a time, in increasing k, into an FP32 accumulator, either as
-one NumPy call per step or, for small outputs, as one ``np.add.reduce``
-over the leading axis of a chunk of products: NumPy adds the rows of a
-non-innermost axis one after another, elementwise, so the order is the
-same.  A single output element (m*n == 1) would make that axis the
-innermost loop, which NumPy sums pairwise, so it stays on the per-step
-loop.  Without subnormals, x86's ``VDPBF16PS`` gives the same bits as
-this order run over k with each adjacent pair of steps swapped
+one NumPy call per step or, for outputs of up to 16384 elements, as one
+``np.add.reduce`` over the leading axis of a chunk of products: NumPy
+adds the rows of a non-innermost axis one after another, elementwise,
+so the order is the same.  A single output element (m*n == 1) would
+make that axis the innermost loop, which NumPy sums pairwise, so it
+stays on the per-step loop.  The chunk's products come from
+``np.einsum``, whose fixed cost per row is about half
+``np.multiply``'s; they carry the same bits into the sum
+(``_gemm_chunked``).
+Without subnormals, x86's ``VDPBF16PS`` gives the same bits as this
+order run over k with each adjacent pair of steps swapped
 (``tests/test_hardware.py``).
 
 Each step is a broadcast multiply and add, and NumPy pays a fixed cost
@@ -35,7 +39,8 @@ along N*Ho*Wo without a swap.
 Convolution and pooling share one window gather, ``_windows``, a
 strided view of NumPy's ``sliding_window_view``; ``_im2col`` and pooling
 each copy it once into their own layout, max pooling as one contiguous
-slot per window offset.  ``_scatter`` adds windows back into a +0 image
+slot per window offset and ``_im2col``'s row layout one window offset
+at a time.  ``_scatter`` adds windows back into a +0 image
 one (u, v) offset at a time, so each pixel sees its contributions in
 that fixed order; conv's ``_col2im`` ends in it, and so does pooling's
 backward, except max pooling's with stride == window: there each pixel
@@ -80,11 +85,18 @@ __all__ = [
 
 # Shapes with 2 <= m*n <= _CHUNKED_MAX_MN and k > 1 take the chunked path
 # of _gemm; _CHUNK_ELEMS bounds the kc * m * n products of one chunk.
-# The switch point is measured: at m*n = 16384, the LSTM hidden projection
-# (128, 32, 128) took 0.83 ms chunked against 0.73 ms on the loop in one
-# measurement and 0.58 against 0.61 ms in another; from 32768 up the loop
-# was faster on every shape tried.
-_CHUNKED_MAX_MN = 8192
+# Measured against the per-k loop at k = 64 unless named, the chunked
+# path took 0.44-0.86x the loop's time on every output of up to 65536
+# elements in rows of up to 2048, e.g. the LSTM's (128, 32, 128)
+# 0.41 -> 0.28 ms.  Past 16384 elements the buffer of a chunk (about
+# 1.2 MB, where the loop holds one (m, n) temporary) raised the peak RSS
+# of a whole lstm-sine or mlp-circles run by 0.6-0.7 MB, through their
+# batch-512 evaluation GEMMs (512, 32, 128) and (512, 64, 64).  Rows of
+# 3072 or more were slower chunked, 1.16-2.7x, but the bound keeps
+# conv's (8, 9, 8192) (0.23 -> 0.52 ms chunked) on the loop, and no
+# shipped config has such rows below it; the longest taking the chunked
+# path hold 512.
+_CHUNKED_MAX_MN = 1 << 14
 _CHUNK_ELEMS = 1 << 18
 
 
@@ -102,6 +114,9 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         at = np.ascontiguousarray(a.T)
         acc = _gemm_rows(at[:, None, :], b[:, :, None], (n, m))
         return np.ascontiguousarray(acc.T)
+    # Rows of b strided in memory, as in x @ W.T, cost einsum its gain:
+    # (128, 32, 128) with b = W.T took 0.61 ms, and 0.32 ms on a copy.
+    b = np.ascontiguousarray(b)
     return _gemm_rows(a.T[:, :, None], b[:, None, :], (m, n))
 
 
@@ -116,7 +131,12 @@ def _gemm_rows(x: np.ndarray, y: np.ndarray, shape) -> np.ndarray:
     acc = np.zeros(shape, np.float32)
     if 2 <= acc.size <= _CHUNKED_MAX_MN and k > 1:
         _gemm_chunked(x, y, acc)
-        return acc
+        # A NaN product may keep the other NaN's payload there (see
+        # _gemm_chunked), and any NaN product leaves a NaN in its output
+        # element; such outputs are built again on the loop.
+        if not np.isnan(acc).any():
+            return acc
+        acc[...] = 0
     tmp = np.empty_like(acc)
     for j in range(k):
         np.multiply(x[j], y[j], out=tmp)
@@ -136,14 +156,28 @@ def _gemm_chunked(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
     plus the pairwise sum of the rest, which changed the bits for every
     such shape tried with k >= 7.  Those shapes, k == 1 and large
     outputs stay on the loop.
+
+    The products come from ``np.einsum`` over a size-1 contracted axis,
+    with a's element as the first operand: NumPy pays about half
+    ``np.multiply``'s fixed cost per row of the broadcast.  (The default
+    ``optimize=False`` keeps einsum in its own loops; it never calls
+    BLAS.)  Each product comes out as a*b added to +0, which differs
+    from ``np.multiply``'s in two ways.  A -0 product comes out +0.
+    That cannot change a sum: the sum starts at +0, and a rounded sum is
+    -0 only when both addends are -0, so the running sum is never -0, and
+    adding either zero to it gives the same bits.  And NaN * NaN may keep
+    b's payload; _gemm_rows redoes on the loop any output holding a NaN.
     """
     k = x.shape[0]
-    # m*n <= _CHUNKED_MAX_MN keeps the chunk length at 32 or more.
+    # m*n <= _CHUNKED_MAX_MN keeps the chunk length at 16 or more.
     kc = min(_CHUNK_ELEMS // acc.size, k)
     buf = np.empty((1 + kc,) + acc.shape, np.float32)
+    # x runs along p (a column of a) or, transposed, along q (a row of
+    # a^T); either way it stays the first operand.
+    spec = "jpz,jzq->jpq" if x.shape[2] == 1 else "jzq,jpz->jpq"
     for j in range(0, k, kc):
         c = min(kc, k - j)
-        np.multiply(x[j:j + c], y[j:j + c], out=buf[1:1 + c])
+        np.einsum(spec, x[j:j + c], y[j:j + c], out=buf[1:1 + c])
         buf[0] = acc
         np.add.reduce(buf[:1 + c], axis=0, out=acc)
 
@@ -194,7 +228,14 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int,
     if transposed:
         return wins.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k,
                                                         n * ho * wo)
-    return wins.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * k * k)
+    # One copy per window offset: copied whole, the view's inner loop is
+    # the k elements of (u, v).  On (128, 1, 8, 8) and (128, 8, 4, 4)
+    # with k = 3 this took 0.21 and 0.42 ms against 0.32 and 0.56 ms.
+    cols = np.empty((n, ho, wo, c, k, k), np.float32)
+    for u in range(k):
+        for v in range(k):
+            cols[..., u, v] = wins[..., u, v].transpose(0, 2, 3, 1)
+    return cols.reshape(n * ho * wo, c * k * k)
 
 
 def _col2im(cols_t: np.ndarray, x_shape, k: int, stride: int,

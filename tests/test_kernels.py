@@ -212,6 +212,22 @@ def rand_bf16(rng, shape, scale=1.0):
 # ---------------------------------------------------------------------------
 
 
+MAX_MN = kernels._CHUNKED_MAX_MN
+
+# Positive FP32 special values: 0, the smallest and largest subnormal,
+# the smallest normal, 1, the largest finite, inf; bf16's smallest and
+# largest subnormal and largest finite; fp16's smallest subnormal,
+# largest subnormal, smallest normal and largest finite; two quiet NaNs
+# with different payloads.
+SPECIAL = np.uint32([
+    0x00000000, 0x00000001, 0x007FFFFF, 0x00800000, 0x3F800000,
+    0x7F7FFFFF, 0x7F800000,
+    0x00010000, 0x007F0000, 0x7F7F0000,
+    0x33800000, 0x387FC000, 0x38800000, 0x477FE000,
+    0x7FC00001, 0x7FC00002,
+]).view(np.float32)
+
+
 class TestGemm:
     def test_identity(self):
         b = rand_bf16(np.random.default_rng(0), (2, 3))
@@ -232,12 +248,12 @@ class TestGemm:
         assert s.data[0] == 1048576.0
 
     # m*n == 1 stays on the per-k loop, since reducing the k axis in one
-    # NumPy call would sum it pairwise; (96, 5, 96) is above the switch
+    # NumPy call would sum it pairwise; (129, 3, 128) is above the switch
     # point of the chunked path.
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (4, 7, 4),
                                        (2, 8, 3), (1, 7, 1), (1, 8, 1),
                                        (1, 128, 1), (1, 1000, 1),
-                                       (96, 5, 96)])
+                                       (129, 3, 128)])
     def test_matches_scalar_oracle(self, shape):
         m, k, n = shape
         rng = np.random.default_rng(m * 100 + k * 10 + n)
@@ -323,6 +339,103 @@ class TestGemm:
         got = _gemm(a, b).view(np.uint32)
         assert got[1, 1] == 0x7FC00001
         assert np.array_equal(got, gemm_loop(a, b).view(np.uint32))
+
+    # Each side of the bound of the chunked path, in both orientations
+    # ((2048, 9, 8) and (2048, 9, 9) run transposed, with rows of 2048),
+    # conv's (8, 9, 8192), whose long rows are slower chunked, and the
+    # LSTM's recurrent (128, 32, 128) and dh/dW_hh (128, 128, 32) GEMMs.
+    @pytest.mark.parametrize("shape, chunked", [
+        ((MAX_MN // 2048, 5, 2048), True),
+        ((MAX_MN // 2048 + 1, 5, 2048), False),
+        ((MAX_MN // 256, 3, 256), True),
+        ((MAX_MN // 256 + 1, 3, 256), False),
+        ((2048, 9, MAX_MN // 2048), True),
+        ((2048, 9, MAX_MN // 2048 + 1), False),
+        ((8, 9, 8192), False),
+        ((128, 32, 128), True),
+        ((128, 128, 32), True),
+    ])
+    def test_switch_point_matches_per_k_loop(self, monkeypatch, shape,
+                                             chunked):
+        calls = []
+
+        def spy(x, y, acc):
+            calls.append(acc.shape)
+            chunked_gemm(x, y, acc)
+
+        chunked_gemm = kernels._gemm_chunked
+        monkeypatch.setattr(kernels, "_gemm_chunked", spy)
+        m, k, n = shape
+        rng = np.random.default_rng(m + k + n)
+        a = rand_bf16(rng, (m, k))
+        b = rand_bf16(rng, (k, n))
+        want = gemm_loop(a, b).view(np.uint32)
+        # b also as W.T, the layout of the dense and LSTM layers.
+        for y in (b, np.asfortranarray(b)):
+            calls.clear()
+            got = _gemm(a, y)
+            assert bool(calls) == chunked
+            assert np.array_equal(got.view(np.uint32), want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_chunked_products_match_multiply(self):
+        # Every pair of SPECIAL and its negation, as one chunked step added
+        # to +0, in both orientations, against np.multiply: the same bits, except that a
+        # -0 product comes out +0 and NaN * NaN may keep either payload.
+        v = np.concatenate([SPECIAL, -SPECIAL])
+        a = v[:, None]
+        b = v[None, :]
+        want = np.multiply(a, b)
+        x = a.T[:, :, None]
+        y = b[:, None, :]
+        rows = np.zeros(want.shape, np.float32)
+        kernels._gemm_chunked(x, y, rows)
+        at = np.ascontiguousarray(a.T)
+        cols = np.zeros(want.shape[::-1], np.float32)
+        kernels._gemm_chunked(at[:, None, :], b[:, :, None], cols)
+        both_nan = np.isnan(a) & np.isnan(b)
+        want_bits = np.where(want == 0, np.float32(0), want).view(np.uint32)
+        nan_bits = {int(u) | 0x00400000 for u in v[np.isnan(v)].view(np.uint32)}
+        for got in (rows, cols.T):
+            bits = got.view(np.uint32)
+            assert np.array_equal(bits[~both_nan], want_bits[~both_nan])
+            assert {int(u) for u in bits[both_nan]} <= nan_bits
+        # The set must reach every case it names.
+        assert (want.view(np.uint32) == 0x80000000).any()
+        assert ((want != 0) & (np.abs(want) < np.float32(2.0 ** -126))).any()
+        assert (np.isinf(a) & (b == 0) & np.isnan(want)).any()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(4, 9, 5), (12, 9, 4)])
+    @pytest.mark.parametrize("case", ["zeros", "nan_a", "nan_both",
+                                      "inf_times_zero"])
+    def test_special_operands_on_chunked_path(self, shape, case):
+        # (12, 9, 4) runs transposed.  Output (0, 0): +0, -0, then 1 and
+        # -1 that cancel to +0, then -0 products onto that +0.  Row 1:
+        # products that underflow to -0 and to a negative subnormal.  Then
+        # a NaN in a, a NaN in both operands, or inf * 0, one at a time.
+        m, k, n = shape
+        rng = np.random.default_rng(6)
+        a = rand_bf16(rng, (m, k)).copy()
+        b = rand_bf16(rng, (k, n)).copy()
+        a[0] = [0.0, -0.0, 1.0, -1.0, -0.0, 0.0, -0.0, -0.0, 0.0]
+        b[:, 0] = [1.0, 1.0, 0.5, 0.5, 3.0, -1.0, 2.0, 1.0, 1.0]
+        a[1, 5:7] = [-2.0 ** -100, -2.0 ** -70]
+        b[5:7, 1] = [2.0 ** -100, 2.0 ** -70]
+        nan_a = np.uint32(0x7FC00001).view(np.float32)
+        nan_b = np.uint32(0xFFC00002).view(np.float32)
+        if case == "nan_a":
+            a[2, 7] = nan_a
+        elif case == "nan_both":
+            a[2, 7] = nan_a
+            b[7, 1] = nan_b
+        elif case == "inf_times_zero":
+            a[3, 8] = np.inf
+            b[8, 2] = 0.0
+        got = _gemm(a, b)
+        want = gemm_loop(a, b)
+        assert got.view(np.uint32)[0, 0] == 0
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("inputs", ["fp32", "bf16"])
