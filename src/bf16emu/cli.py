@@ -10,6 +10,8 @@ import argparse
 import sys
 
 from .harness import (
+    PRECISIONS,
+    ROUNDINGS,
     ConfigError,
     DivergenceError,
     SchemaError,
@@ -38,8 +40,8 @@ def _build_parser() -> _Parser:
                            parents=[], add_help=True)
     train.add_argument("--config", required=True,
                        help="flat key=value config file")
-    train.add_argument("--precision", choices=["fp32", "bf16", "fp16"])
-    train.add_argument("--rounding", choices=["rne", "trunc"])
+    train.add_argument("--precision", choices=PRECISIONS)
+    train.add_argument("--rounding", choices=ROUNDINGS)
     train.add_argument("--loss-scale", type=float, dest="loss_scale")
     train.add_argument("--seed", type=int)
     train.add_argument("--out")

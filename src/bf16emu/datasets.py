@@ -83,13 +83,14 @@ def _digit_templates():
 def _digits_split(gen, n):
     templates = _digit_templates()
     y = gen.integers(0, 4, size=n)
-    x = np.empty((n, 1, 8, 8), np.float32)
     shifts = gen.integers(-1, 2, size=(n, 2))
     noise = gen.normal(0.0, 0.25, size=(n, 8, 8))
-    for idx in range(n):
-        img = np.roll(templates[y[idx]], tuple(shifts[idx]), axis=(0, 1))
-        x[idx, 0] = img + noise[idx]
-    return x.astype(np.float32), y.astype(np.int64)
+    # Each template rolled by its (row, column) shift, as np.roll would:
+    # pixel (i, j) takes the template's ((i - dr) % 8, (j - dc) % 8).
+    rows = (np.arange(8) - shifts[:, :1]) % 8
+    cols = (np.arange(8) - shifts[:, 1:]) % 8
+    noise += templates[y[:, None, None], rows[:, :, None], cols[:, None, :]]
+    return noise.astype(np.float32)[:, None], y.astype(np.int64)
 
 
 def _digits(seed: int) -> Dataset:

@@ -20,7 +20,6 @@ import numpy as np
 from . import netgraph as ng
 from .datasets import Dataset, TASKS, gen_dataset
 from .kernels import (
-    ActivationKind,
     PoolKind,
     _sigmoid,
     binary_log_loss,
@@ -54,6 +53,10 @@ __all__ = [
 
 CSV_HEADER = ["epoch", "iter", "loss", "eval_metric",
               "grad_underflow_frac", "wall_ms"]
+
+# The legal `precision` and `rounding` strings, in declaration order.
+PRECISIONS = [p.value for p in Precision]
+ROUNDINGS = [m.value for m in RoundingMode]
 
 
 class ConfigError(ValueError):
@@ -102,9 +105,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
-        if self.precision not in ("fp32", "bf16", "fp16"):
+        if self.precision not in PRECISIONS:
             raise ConfigError(f"unknown precision {self.precision!r}")
-        if self.rounding not in ("rne", "trunc"):
+        if self.rounding not in ROUNDINGS:
             raise ConfigError(f"unknown rounding {self.rounding!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
@@ -139,9 +142,8 @@ class ExperimentConfig:
         return Adam(self.lr, self.beta1, self.beta2, self.adam_eps)
 
     def policy(self) -> QuantPolicy:
-        mode = (RoundingMode.NEAREST_EVEN if self.rounding == "rne"
-                else RoundingMode.TRUNCATE)
-        return QuantPolicy(Precision(self.precision), mode)
+        return QuantPolicy(Precision(self.precision),
+                           RoundingMode(self.rounding))
 
 
 def _parse_bool(raw) -> bool:
@@ -213,16 +215,16 @@ def configs_differ_only_in(configs, allowed: set[str]) -> bool:
 
 
 def _network_specs(task: str):
-    relu = ng.Activation(ActivationKind.RELU)
+    relu = ng.ReLU()
     if task == "mlp-circles":
         return [ng.Dense(2, 64), relu, ng.Dense(64, 64), relu,
                 ng.Dense(64, 2)]
     if task == "conv-digits":
         return [
             ng.Conv2d(1, 8, 3, pad=1), relu,
-            ng.Pool(PoolKind.MAX, 2, 2),
+            ng.Pool(PoolKind.MAX, 2),
             ng.Conv2d(8, 16, 3, pad=1), relu,
-            ng.Pool(PoolKind.MAX, 2, 2),
+            ng.Pool(PoolKind.MAX, 2),
             ng.Flatten(),
             ng.Dense(16 * 2 * 2, 4),
         ]
@@ -265,12 +267,7 @@ def _eval_metric(net: Network, ds: Dataset, batch: int = 512) -> float:
     if ds.metric == "accuracy":
         pred = out.argmax(axis=1)
         return float((pred == ds.eval_y).mean())
-    z = out.reshape(-1)
-    y = ds.eval_y.reshape(-1)
-    if ds.metric == "mse":
-        return float(((z - y) ** 2).mean())
-    p = 1.0 / (1.0 + np.exp(-z.astype(np.float64)))
-    return binary_log_loss(p.astype(np.float32), y)
+    return _loss_and_grad(ds.metric, out, ds.eval_y)[0]
 
 
 def _train_loss_full(net: Network, ds: Dataset, tx, ty,

@@ -36,18 +36,15 @@ the result once, so it is taken only where the k steps repay that
 (``_gemm``).  Convolution lays its matrices out so that its GEMMs run
 along N*Ho*Wo without a swap.
 
-Convolution and pooling share one window gather, ``_windows``, a
-strided view of NumPy's ``sliding_window_view``; ``_im2col`` and pooling
-each copy it once into their own layout, max pooling as one contiguous
-slot per window offset and ``_im2col``'s row layout one window offset
-at a time.  ``_scatter`` adds windows back into a +0 image
-one (u, v) offset at a time, so each pixel sees its contributions in
-that fixed order; conv's ``_col2im`` ends in it, and so does pooling's
-backward, except max pooling's with stride == window: there each pixel
-takes at most one share, which is written in place with the bits
-``_scatter`` would give.  Pooling does not go through
-``_im2col``/``_col2im`` themselves, so a trace that wraps those names
-times convolution alone.
+Convolution gathers its windows as a strided view of NumPy's
+``sliding_window_view`` and copies them once into its window matrix
+(``_im2col``); ``_col2im`` adds windows back into a +0 image one (u, v)
+offset at a time, so each pixel sees its contributions in that fixed
+order.  Pooling tiles the image with non-overlapping windows, a reshape
+view that drops the border the tiles miss: each pixel lies in at most
+one window, so pooling's backward writes its one share in place and
+sums nothing.  It does not go through ``_im2col``/``_col2im``, so a
+trace that wraps those names times convolution alone.
 
 ReLU's backward and max pooling select values with bit masks
 (``_mask``), not with ``np.where`` or ``np.argmax``: NumPy's select
@@ -65,14 +62,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import RngStream, ShapeError
 
 __all__ = [
-    "ActivationKind",
     "PoolKind",
     "conv2d_forward",
     "conv2d_backward",
     "batchnorm_forward",
     "batchnorm_backward",
-    "activation_forward",
-    "activation_backward",
+    "relu_forward",
+    "relu_backward",
     "pool_forward",
     "pool_backward",
     "dropout",
@@ -194,37 +190,18 @@ def _out_extent(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
-def _windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """Strided view (N, C, Ho, Wo, k, k) of the windows of padded x."""
-    ho = _out_extent(x.shape[2], k, stride, pad)
-    wo = _out_extent(x.shape[3], k, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    return sliding_window_view(xp, (k, k), axis=(2, 3))[
-        :, :, :ho * stride:stride, :wo * stride:stride]
-
-
-def _scatter(wins: np.ndarray, x_shape, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of _windows: adds wins (N, C, Ho, Wo, k, k) into a +0
-    image one (u, v) offset at a time, then drops the padding."""
-    n, c, h, w = x_shape
-    ho, wo, k = wins.shape[2:5]
-    p, s = pad, stride
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), np.float32)
-    for u in range(k):
-        for v in range(k):
-            xp[:, :, u:u + ho * s:s, v:v + wo * s:s] += wins[..., u, v]
-    if p:
-        return xp[:, :, p:p + h, p:p + w].copy()
-    return xp
-
-
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int,
             transposed: bool = False) -> np.ndarray:
     """Window matrix: a row per output pixel (n, i, j), a column per
     (c, u, v).  With ``transposed``, its transpose, copied straight from
     the windows."""
-    wins = _windows(x, k, stride, pad)
-    n, c, ho, wo = wins.shape[:4]
+    n, c, h, w = x.shape
+    ho = _out_extent(h, k, stride, pad)
+    wo = _out_extent(w, k, stride, pad)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    # Strided view (N, C, Ho, Wo, k, k) of the windows.
+    wins = sliding_window_view(xp, (k, k), axis=(2, 3))[
+        :, :, :ho * stride:stride, :wo * stride:stride]
     if transposed:
         return wins.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k,
                                                         n * ho * wo)
@@ -240,12 +217,23 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int,
 
 def _col2im(cols_t: np.ndarray, x_shape, k: int, stride: int,
             pad: int) -> np.ndarray:
-    """Adjoint of the transposed _im2col: cols_t is (C*k*k, N*Ho*Wo)."""
+    """Adjoint of the transposed _im2col: adds the windows of cols_t
+    (C*k*k, N*Ho*Wo) into a +0 image one (u, v) offset at a time, so each
+    pixel sees its contributions in that fixed order, then drops the
+    padding."""
     n, c, h, w = x_shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(w, k, stride, pad)
-    wins = cols_t.reshape(c, k, k, n, ho, wo).transpose(3, 0, 4, 5, 1, 2)
-    return _scatter(wins, x_shape, stride, pad)
+    wins = cols_t.reshape(c, k, k, n, ho, wo)
+    p, s = pad, stride
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), np.float32)
+    for u in range(k):
+        for v in range(k):
+            xp[:, :, u:u + ho * s:s, v:v + wo * s:s] += \
+                wins[:, u, v].transpose(1, 0, 2, 3)
+    if p:
+        return xp[:, :, p:p + h, p:p + w].copy()
+    return xp
 
 
 def _check_conv(x: np.ndarray, w: np.ndarray) -> tuple[int, int]:
@@ -346,47 +334,20 @@ def _mask(keep: np.ndarray) -> np.ndarray:
     return m
 
 
-class ActivationKind(Enum):
-    RELU = "relu"
-    LEAKY_RELU = "leaky_relu"
-    SIGMOID = "sigmoid"
-    TANH = "tanh"
-
-
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     return (1.0 / (1.0 + np.exp(-v.astype(np.float32)))).astype(np.float32)
 
 
-def activation_forward(kind: ActivationKind, x: np.ndarray,
-                       alpha: float = 0.01) -> np.ndarray:
-    if kind is ActivationKind.RELU:
-        return np.maximum(x, np.float32(0))
-    if kind is ActivationKind.LEAKY_RELU:
-        return np.where(x > 0, x, np.float32(alpha) * x)
-    if kind is ActivationKind.SIGMOID:
-        return _sigmoid(x)
-    if kind is ActivationKind.TANH:
-        return np.tanh(x).astype(np.float32)
-    raise ValueError(f"unknown activation {kind}")
+def relu_forward(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, np.float32(0))
 
 
-def activation_backward(kind: ActivationKind, x: np.ndarray, dy: np.ndarray,
-                        alpha: float = 0.01) -> np.ndarray:
+def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     if x.shape != dy.shape:
-        raise ShapeError("activation backward shape mismatch")
-    if kind is ActivationKind.RELU:
-        # np.where(x > 0, dy, +0) as a bit mask: on a random mask np.where
-        # branches per element and took 13x as long.
-        return (dy.view(np.uint32) & _mask(x > 0)).view(np.float32)
-    if kind is ActivationKind.LEAKY_RELU:
-        return np.where(x > 0, dy, np.float32(alpha) * dy)
-    if kind is ActivationKind.SIGMOID:
-        s = _sigmoid(x)
-        return dy * s * (np.float32(1) - s)
-    if kind is ActivationKind.TANH:
-        t = np.tanh(x).astype(np.float32)
-        return dy * (np.float32(1) - t * t)
-    raise ValueError(f"unknown activation {kind}")
+        raise ShapeError("relu backward shape mismatch")
+    # np.where(x > 0, dy, +0) as a bit mask: on a random mask np.where
+    # branches per element and took 13x as long.
+    return (dy.view(np.uint32) & _mask(x > 0)).view(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +360,28 @@ class PoolKind(Enum):
     AVG = "avg"
 
 
-def pool_forward(kind: PoolKind, x: np.ndarray, window: int, stride: int):
+def _tiles(a: np.ndarray, k: int) -> np.ndarray:
+    """View (N, C, Ho, k, Wo, k) of the k x k tiles of a, which drops the
+    border the tiles miss."""
+    n, c, h, w = a.shape
+    ho = _out_extent(h, k, k, 0)
+    wo = _out_extent(w, k, k, 0)
+    return a[:, :, :ho * k, :wo * k].reshape(n, c, ho, k, wo, k)
+
+
+def pool_forward(kind: PoolKind, x: np.ndarray, window: int):
     """Returns (y, cache).  Max pooling picks, bit for bit, the element
     np.argmax would: the first row-major winner, or the first NaN."""
-    wins = _windows(x, window, stride, 0)
+    k = window
+    tiles = _tiles(x, k)
     if kind is PoolKind.AVG:
-        wins = wins.reshape(wins.shape[:4] + (window * window,))
-        y = wins.mean(axis=-1, dtype=np.float32)
-        return y, (kind, x.shape, window, stride, None)
-    # One contiguous (window**2, N, C, Ho, Wo) copy: each pass below then
-    # runs over whole slots, not over rows `window` elements long.
-    slots = np.ascontiguousarray(wins.transpose(4, 5, 0, 1, 2, 3))
-    slots = slots.reshape((window * window,) + wins.shape[:4])
+        wins = tiles.transpose(0, 1, 2, 4, 3, 5)
+        wins = wins.reshape(wins.shape[:4] + (k * k,))
+        return wins.mean(axis=-1, dtype=np.float32), (kind, x.shape, k, None)
+    # One contiguous (k * k, N, C, Ho, Wo) copy: each pass below then
+    # runs over whole slots, not over rows k elements long.
+    slots = np.ascontiguousarray(tiles.transpose(3, 5, 0, 1, 2, 4))
+    slots = slots.reshape((k * k,) + slots.shape[2:])
     bits = slots.view(np.uint32)
     best = bits[0].copy()
     arg = np.zeros(best.shape, np.min_scalar_type(len(slots) - 1))
@@ -424,40 +395,30 @@ def pool_forward(kind: PoolKind, x: np.ndarray, window: int, stride: int):
         # so the winner's index is the largest p taken.
         best ^= (best ^ bits[p]) & _mask(take)
         np.maximum(arg, take * arg.dtype.type(p), out=arg)
-    return best.view(np.float32), (kind, x.shape, window, stride, arg)
+    return best.view(np.float32), (kind, x.shape, k, arg)
 
 
 def pool_backward(dy: np.ndarray, cache) -> np.ndarray:
-    """Scatters dy back over the windows: to each max window's winner (the
-    other window positions carry +0), or as dy / window**2 to all."""
-    kind, x_shape, window, stride, arg = cache
-    n, c, h, w = x_shape
-    ho = _out_extent(h, window, stride, 0)
-    wo = _out_extent(w, window, stride, 0)
+    """dx of pooling: each tile's max winner takes dy (the rest of the
+    tile +0), or every pixel of the tile takes dy / window**2; the
+    border the tiles miss is +0.  Each share is written in place as
+    share + 0, so a -0 share reads +0."""
+    kind, x_shape, k, arg = cache
+    dx = np.zeros(x_shape, np.float32)
+    tiles = _tiles(dx, k)
+    n, c, ho, _, wo, _ = tiles.shape
     if dy.shape != (n, c, ho, wo):
         raise ShapeError(f"pool dy shape {dy.shape} != {(n, c, ho, wo)}")
-    k = window
     if kind is PoolKind.AVG:
-        share = (dy / np.float32(k * k)).astype(np.float32)
-        wins = np.broadcast_to(share[..., None, None], (n, c, ho, wo, k, k))
-        return _scatter(wins, x_shape, stride, 0)
-    if stride == window:
-        # The windows tile the image, bar a border they miss: each pixel
-        # takes at most one share, written in place.  _scatter would add
-        # it into +0; dy + 0 gives the same bits (-0 becomes +0).
-        src = dy + np.float32(0)
-        dx = np.zeros(x_shape, np.float32)
-        shares = dx[:, :, :ho * k, :wo * k].reshape(
-            n, c, ho, k, wo, k).transpose(3, 5, 0, 1, 2, 4)
-    else:
-        src = dy
-        shares = np.empty((k, k, n, c, ho, wo), np.float32)
-    for p in range(k * k):
-        np.bitwise_and(src.view(np.uint32), _mask(arg == p),
-                       out=shares[p // k, p % k].view(np.uint32))
-    if stride == window:
+        share = dy / np.float32(k * k) + np.float32(0)
+        tiles[...] = share[:, :, :, None, :, None]
         return dx
-    return _scatter(shares.transpose(2, 3, 4, 5, 0, 1), x_shape, stride, 0)
+    src = (dy + np.float32(0)).view(np.uint32)
+    shares = tiles.transpose(3, 5, 0, 1, 2, 4)
+    for p in range(k * k):
+        np.bitwise_and(src, _mask(arg == p),
+                       out=shares[p // k, p % k].view(np.uint32))
+    return dx
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,9 @@ engine is a plain FP32 network.
 
 A layer whose results are exact in its input's format keeps the input's
 tag, so `_quantize` skips them: Flatten, and the selecting layers
-(`_Layer.selects`), ReLU and max pooling with stride >= window, in both
-directions.  Quantizing an exact value leaves its bits as they are, so
-skipping it changes no result.  Overlapping max pooling sums gradients,
-and avg pooling and LeakyReLU compute new values; they are quantized.
+(`_Layer.selects`), ReLU and max pooling, in both directions.
+Quantizing an exact value leaves its bits as they are, so skipping it
+changes no result.  Avg pooling computes new values; they are quantized.
 `QuantStats` still counts each error gradient a selecting layer passes
 back, as the quantization it skips would have, so `grad_underflow_frac`
 does not depend on the skip; Flatten's pass-through is not counted.
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as K
-from .kernels import ActivationKind, PoolKind
+from .kernels import PoolKind
 from .tensor import (
     HeNormal,
     QuantPolicy,
@@ -52,7 +51,7 @@ __all__ = [
     "Dense",
     "Conv2d",
     "BatchNorm",
-    "Activation",
+    "ReLU",
     "Pool",
     "Dropout",
     "EltwiseAdd",
@@ -97,16 +96,20 @@ class BatchNorm:
 
 
 @dataclass(frozen=True)
-class Activation:
-    kind: ActivationKind
-    alpha: float = 0.01
+class ReLU:
+    """max(x, 0); selects, so its results keep their input's tag."""
 
 
 @dataclass(frozen=True)
 class Pool:
+    """Pooling over the non-overlapping window x window tiles."""
+
     kind: PoolKind
     window: int
-    stride: int
+
+    def __post_init__(self):
+        if self.window < 1:
+            raise ValueError("pool window must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -336,22 +339,19 @@ class _BatchNormLayer(_Layer):
         return Tensor(dx)
 
 
-class _ActivationLayer(_Layer):
+class _ReluLayer(_Layer):
     layer_class = "activation"
+    selects = True
 
-    def __init__(self, index, spec: Activation, rng: RngStream):
+    def __init__(self, index, spec: ReLU, rng: RngStream):
         super().__init__(index)
-        self.spec = spec
-        self.selects = spec.kind is ActivationKind.RELU
 
     def forward(self, x, ctx, tape):
         tape.caches.append(x.data)
-        return self._result(K.activation_forward(self.spec.kind, x.data,
-                                                 self.spec.alpha), x)
+        return self._result(K.relu_forward(x.data), x)
 
     def backward(self, dy, ctx, cache):
-        return self._result(K.activation_backward(
-            self.spec.kind, cache, dy.data, self.spec.alpha), dy)
+        return self._result(K.relu_backward(cache, dy.data), dy)
 
 
 class _PoolLayer(_Layer):
@@ -360,13 +360,10 @@ class _PoolLayer(_Layer):
     def __init__(self, index, spec: Pool, rng: RngStream):
         super().__init__(index)
         self.spec = spec
-        # Overlapping windows sum gradients where they overlap.
-        self.selects = (spec.kind is PoolKind.MAX
-                        and spec.stride >= spec.window)
+        self.selects = spec.kind is PoolKind.MAX
 
     def forward(self, x, ctx, tape):
-        y, cache = K.pool_forward(self.spec.kind, x.data, self.spec.window,
-                                  self.spec.stride)
+        y, cache = K.pool_forward(self.spec.kind, x.data, self.spec.window)
         tape.caches.append(cache)
         return self._result(y, x)
 
@@ -492,7 +489,7 @@ _LAYER_TYPES = {
     Flatten: _FlattenLayer,
     Conv2d: _ConvLayer,
     BatchNorm: _BatchNormLayer,
-    Activation: _ActivationLayer,
+    ReLU: _ReluLayer,
     Pool: _PoolLayer,
     Dropout: _DropoutLayer,
     EltwiseAdd: _EltwiseAddLayer,

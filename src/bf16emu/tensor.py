@@ -212,15 +212,3 @@ class QuantPolicy:
     @property
     def identity(self) -> bool:
         return self.precision is Precision.FP32
-
-    @classmethod
-    def fp32(cls) -> "QuantPolicy":
-        return cls()
-
-    @classmethod
-    def bf16(cls, mode: RoundingMode = RoundingMode.NEAREST_EVEN) -> "QuantPolicy":
-        return cls(Precision.BF16, mode)
-
-    @classmethod
-    def fp16(cls, mode: RoundingMode = RoundingMode.NEAREST_EVEN) -> "QuantPolicy":
-        return cls(Precision.FP16, mode)

@@ -21,20 +21,20 @@ from bf16emu.harness import (
     _network_specs,
 )
 from bf16emu.kernels import (
-    ActivationKind,
     PoolKind,
-    activation_backward,
-    activation_forward,
     batchnorm_backward,
     batchnorm_forward,
     conv2d_backward,
     conv2d_forward,
     pool_backward,
     pool_forward,
+    relu_backward,
+    relu_forward,
     softmax_cross_entropy,
 )
-from bf16emu.netgraph import Activation, Dense, Lstm, build_network
+from bf16emu.netgraph import BatchNorm, Dense, Lstm, build_network
 from bf16emu.numerics import (
+    Precision,
     RoundingMode,
     bf16_to_f32_array,
     f32_to_bf16_array,
@@ -183,7 +183,7 @@ def test_criterion_04_exact_product_property():
 def test_criterion_05_gradient_checks():
     t0 = time.time()
     instances = 0
-    pol = QuantPolicy.fp32()
+    pol = QuantPolicy(Precision.FP32)
 
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
@@ -213,17 +213,16 @@ def test_criterion_05_gradient_checks():
             return float((y.astype(np.float64) * dyb).sum())
         assert_grads_close(dxb, fd_grad(bn_loss, xb.copy()))
 
-        # activations
-        kind = list(ActivationKind)[seed % 4]
+        # relu
         xa = rng.standard_normal(16).astype(np.float32)
-        # keep inputs away from the relu-family kink at zero, where
-        # central differences straddle the non-smooth point
+        # keep inputs away from the kink at zero, where central
+        # differences straddle the non-smooth point
         xa = np.where(np.abs(xa) < 0.05, np.float32(0.3), xa)
         dya = rng.standard_normal(16).astype(np.float32)
-        dxa = activation_backward(kind, xa, dya)
+        dxa = relu_backward(xa, dya)
         assert_grads_close(dxa, fd_grad(
-            lambda v: float((activation_forward(kind, v)
-                             .astype(np.float64) * dya).sum()),
+            lambda v: float((relu_forward(v).astype(np.float64)
+                             * dya).sum()),
             xa.copy()))
 
         # pooling (distinct values keep the max winner stable)
@@ -231,11 +230,11 @@ def test_criterion_05_gradient_checks():
         xp = (rng.permutation(16).astype(np.float32) * 0.25).reshape(
             1, 1, 4, 4)
         dyp = rng.standard_normal((1, 1, 2, 2)).astype(np.float32)
-        _, cache = pool_forward(kind, xp, 2, 2)
+        _, cache = pool_forward(kind, xp, 2)
         dxp = pool_backward(dyp, cache)
 
         def pool_loss(v, kind=kind):
-            y, _ = pool_forward(kind, v, 2, 2)
+            y, _ = pool_forward(kind, v, 2)
             return float((y.astype(np.float64) * dyp).sum())
         # pooling is piecewise linear and window entries differ by
         # >= 0.25, so a large step is exact and drowns fp32 noise
@@ -262,9 +261,9 @@ def test_criterion_05_gradient_checks():
             return float((out.astype(np.float64) * dyl).sum())
         assert_grads_close(dxl, fd_grad(lstm_loss, xl.copy()))
 
-        # full network (dense + tanh)
-        net = build_network([Dense(3, 4), Activation(ActivationKind.TANH),
-                             Dense(4, 2)], pol, RngStream(seed))
+        # full network (dense + batchnorm + dense)
+        net = build_network([Dense(3, 4), BatchNorm(4), Dense(4, 2)], pol,
+                            RngStream(seed))
         xn = rng.standard_normal((3, 3)).astype(np.float32)
         dyn = rng.standard_normal((3, 2)).astype(np.float32)
         _, tape = net.forward(xn, train=False)

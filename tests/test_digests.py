@@ -39,13 +39,13 @@ DIGESTS = {
     ("fp16-stress", "bf16"):
         "54b4a5913a3958f25bc017e017fe858d8677d8031c8e8a9076c734fe67d874b1",
     ("fp16-stress", "fp16"):
-        "181c9a788bc72daabbe59ef78cffd5e53a4a99eb4e2a1a7583bd7a6311f4394c",
+        "5c6c80e89e2669d160ae09cc1577ed48399ea742b1a8b18c277b8cdbfd5abd80",
     ("fp16-stress", "bf16-trunc"):
         "ee7852327655e24af880345ddb3ed534d845deb69fa4f3a27a0cbc9dec519b3b",
     ("logistic-ctr", "bf16"):
         "28f36afda3846283dba8645bc45f1c75664563a5bb7348bbc3a8ddb5d3d6ad55",
     ("logistic-ctr", "fp16"):
-        "14bac4392d33332add321a1749c2abff37a9f612fbb0daf2e54af40da9e08d5e",
+        "fe6ae8e2442747b8662dc9a47d1bc28793a2f6c866b2586eeabe51c344ba8f8d",
     ("logistic-ctr", "bf16-trunc"):
         "8cf92aea95132783c91fd965b9cb100a368b4f75c21fbf110dbeb043d5eaa1d3",
     ("lstm-sine", "bf16"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bf16emu import cli
+from bf16emu import datasets
 from bf16emu.datasets import gen_dataset
 from bf16emu.harness import (
     CSV_HEADER,
@@ -167,6 +168,24 @@ class TestDatasets:
         ds = gen_dataset("conv-digits", 1)
         assert ds.train_x.shape == (4096, 1, 8, 8)
         assert set(np.unique(ds.train_y)) <= {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_digits_match_per_image_roll(self, seed):
+        # The reference: each template rolled with np.roll, one image at a
+        # time, from the same draws in the same order.
+        gen = np.random.default_rng(seed)
+        y = gen.integers(0, 4, size=64)
+        shifts = gen.integers(-1, 2, size=(64, 2))
+        noise = gen.normal(0.0, 0.25, size=(64, 8, 8))
+        templates = datasets._digit_templates()
+        want = np.empty((64, 1, 8, 8), np.float32)
+        for i in range(64):
+            want[i, 0] = np.roll(templates[y[i]], tuple(shifts[i]),
+                                 axis=(0, 1)) + noise[i]
+        x, labels = datasets._digits_split(np.random.default_rng(seed), 64)
+        assert x.dtype == np.float32 and labels.dtype == np.int64
+        assert np.array_equal(x.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(labels, y)
 
     def test_sine_shapes(self):
         ds = gen_dataset("lstm-sine", 1)

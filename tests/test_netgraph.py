@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from bf16emu import netgraph
-from bf16emu.kernels import ActivationKind, PoolKind
+from bf16emu.kernels import PoolKind
 from bf16emu.netgraph import (
-    Activation,
     BatchNorm,
     Conv2d,
     Dense,
@@ -15,6 +14,7 @@ from bf16emu.netgraph import (
     Network,
     Pool,
     QuantStats,
+    ReLU,
     build_network,
 )
 from bf16emu.numerics import Precision, quantize_array
@@ -26,11 +26,8 @@ from bf16emu.tensor import (
 
 from test_kernels import assert_grads_close, fd_grad, gemm_oracle
 
-RELU = ActivationKind.RELU
-
-
 def mlp_specs():
-    return [Dense(2, 8), Activation(RELU), Dense(8, 2)]
+    return [Dense(2, 8), ReLU(), Dense(8, 2)]
 
 
 class TestQuantStats:
@@ -49,37 +46,47 @@ class TestQuantStats:
 
 class TestBuild:
     def test_deterministic_init(self):
-        a = build_network(mlp_specs(), QuantPolicy.fp32(), RngStream(1))
-        b = build_network(mlp_specs(), QuantPolicy.fp32(), RngStream(1))
+        a = build_network(mlp_specs(), QuantPolicy(Precision.FP32),
+                          RngStream(1))
+        b = build_network(mlp_specs(), QuantPolicy(Precision.FP32),
+                          RngStream(1))
         for pa, pb in zip(a.param_sets(), b.param_sets()):
             assert np.array_equal(pa.master, pb.master)
 
     def test_different_seeds_differ(self):
-        a = build_network(mlp_specs(), QuantPolicy.fp32(), RngStream(1))
-        b = build_network(mlp_specs(), QuantPolicy.fp32(), RngStream(2))
+        a = build_network(mlp_specs(), QuantPolicy(Precision.FP32),
+                          RngStream(1))
+        b = build_network(mlp_specs(), QuantPolicy(Precision.FP32),
+                          RngStream(2))
         assert not np.array_equal(
             next(a.param_sets()).master,
             next(b.param_sets()).master)
 
     def test_unknown_spec_rejected(self):
         with pytest.raises(ValueError):
-            build_network([object()], QuantPolicy.fp32(), RngStream(0))
+            build_network([object()], QuantPolicy(Precision.FP32),
+                          RngStream(0))
 
     def test_eltwise_source_validated(self):
         with pytest.raises(ValueError):
             build_network([Dense(2, 2), EltwiseAdd(source=1)],
-                          QuantPolicy.fp32(), RngStream(0))
+                          QuantPolicy(Precision.FP32), RngStream(0))
 
     @pytest.mark.parametrize("eps", [0.0, -1e-5])
     def test_batchnorm_eps_must_be_positive(self, eps):
         with pytest.raises(ValueError, match="eps must be positive"):
             BatchNorm(3, eps=eps)
 
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_pool_window_must_be_positive(self, window):
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            Pool(PoolKind.MAX, window)
+
 
 def every_layer_kind():
     """Every layer kind but the LSTM, on (N, 1, 4, 4) inputs."""
-    return [Conv2d(1, 2, 3, pad=1), BatchNorm(2), Activation(RELU),
-            EltwiseAdd(source=0), Pool(PoolKind.MAX, 2, 2), Dropout(0.5),
+    return [Conv2d(1, 2, 3, pad=1), BatchNorm(2), ReLU(),
+            EltwiseAdd(source=0), Pool(PoolKind.MAX, 2), Dropout(0.5),
             Flatten(), Dense(8, 2)]
 
 
@@ -87,8 +94,8 @@ class TestArrayBoundary:
     """Parameters and the network's inputs and outputs are plain float32
     arrays; the precision tag stays between the layers."""
 
-    @pytest.mark.parametrize("policy", [QuantPolicy.fp32(),
-                                        QuantPolicy.bf16()],
+    @pytest.mark.parametrize("policy", [QuantPolicy(Precision.FP32),
+                                        QuantPolicy(Precision.BF16)],
                              ids=["fp32", "bf16"])
     def test_forward_backward_and_params_are_arrays(self, policy):
         net = build_network(every_layer_kind(), policy, RngStream(19))
@@ -113,7 +120,8 @@ class TestArrayBoundary:
             assert ps.shadow.dtype == np.float32
 
     def test_lstm_params_are_arrays(self):
-        net = build_network([Lstm(1, 3), Dense(3, 2)], QuantPolicy.bf16(),
+        net = build_network([Lstm(1, 3), Dense(3, 2)],
+                            QuantPolicy(Precision.BF16),
                             RngStream(19))
         keys = [key for ps in net.param_sets() for key, _, _ in ps.arrays()]
         assert keys == ["lstm0.w_ih", "lstm0.w_ih.bias", "lstm0.w_hh",
@@ -128,7 +136,8 @@ class TestFp32Identity:
 
     def test_hundred_steps_bit_exact(self):
         rng = np.random.default_rng(42)
-        net = build_network(mlp_specs(), QuantPolicy.fp32(), RngStream(7))
+        net = build_network(mlp_specs(), QuantPolicy(Precision.FP32),
+                            RngStream(7))
         d1, d2 = net.layers[0].params[0], net.layers[2].params[0]
         w1 = d1.master.copy()
         b1 = d1.bias.copy()
@@ -181,7 +190,8 @@ class TestFp32Identity:
 
 class TestShadows:
     def test_shadow_is_quantized_master(self):
-        net = build_network(mlp_specs(), QuantPolicy.bf16(), RngStream(3))
+        net = build_network(mlp_specs(), QuantPolicy(Precision.BF16),
+                            RngStream(3))
         for ps in net.param_sets():
             want = quantize_array(ps.master, Precision.BF16)
             assert np.array_equal(ps.shadow, want)
@@ -189,7 +199,8 @@ class TestShadows:
             assert ps.shadow is not ps.master
 
     def test_refresh_tracks_master_updates(self):
-        net = build_network(mlp_specs(), QuantPolicy.bf16(), RngStream(3))
+        net = build_network(mlp_specs(), QuantPolicy(Precision.BF16),
+                            RngStream(3))
         ps = next(net.param_sets())
         ps.master += 0.123
         net.refresh_shadows()
@@ -197,7 +208,8 @@ class TestShadows:
         assert np.array_equal(ps.shadow, want)
 
     def test_master_stays_full_precision(self):
-        net = build_network(mlp_specs(), QuantPolicy.bf16(), RngStream(3))
+        net = build_network(mlp_specs(), QuantPolicy(Precision.BF16),
+                            RngStream(3))
         ps = next(net.param_sets())
         before = ps.master.copy()
         net.refresh_shadows()
@@ -206,7 +218,8 @@ class TestShadows:
         assert not np.array_equal(ps.master, ps.shadow)
 
     def test_bias_never_quantized(self):
-        net = build_network(mlp_specs(), QuantPolicy.fp16(), RngStream(3))
+        net = build_network(mlp_specs(), QuantPolicy(Precision.FP16),
+                            RngStream(3))
         for ps in net.param_sets():
             if ps.bias is not None:
                 # A value below fp16 precision must survive in the bias.
@@ -218,8 +231,8 @@ class TestShadows:
                 assert np.all(ps.bias == np.float32(1e-6))
 
     def test_batchnorm_params_not_quantized(self):
-        specs = [Dense(2, 4), BatchNorm(4), Activation(RELU), Dense(4, 2)]
-        net = build_network(specs, QuantPolicy.bf16(), RngStream(5))
+        specs = [Dense(2, 4), BatchNorm(4), ReLU(), Dense(4, 2)]
+        net = build_network(specs, QuantPolicy(Precision.BF16), RngStream(5))
         bn = net.layers[1].params[0]
         bn.master[...] = 1.0 + 2.0 ** -12  # not bf16-representable
         net.refresh_shadows()
@@ -228,14 +241,16 @@ class TestShadows:
     def test_unquantized_master_is_its_own_shadow(self):
         # FP32 policy: _quantize returns the master itself, so no copy is
         # made per step; a master update shows in the next forward pass.
-        net = build_network(mlp_specs(), QuantPolicy.fp32(), RngStream(3))
+        net = build_network(mlp_specs(), QuantPolicy(Precision.FP32),
+                            RngStream(3))
         for ps in net.param_sets():
             assert ps.shadow is ps.master
 
 
 class TestBackward:
     def test_tape_consumed_once(self):
-        net = build_network(mlp_specs(), QuantPolicy.fp32(), RngStream(0))
+        net = build_network(mlp_specs(), QuantPolicy(Precision.FP32),
+                            RngStream(0))
         x = np.ones((4, 2), np.float32)
         out, tape = net.forward(x)
         dy = np.ones(out.shape, np.float32)
@@ -245,8 +260,8 @@ class TestBackward:
 
     def test_input_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(21)
-        specs = [Dense(3, 5), Activation(ActivationKind.TANH), Dense(5, 2)]
-        net = build_network(specs, QuantPolicy.fp32(), RngStream(9))
+        specs = [Dense(3, 5), ReLU(), Dense(5, 2)]
+        net = build_network(specs, QuantPolicy(Precision.FP32), RngStream(9))
         x = rng.standard_normal((4, 3)).astype(np.float32)
         dy = rng.standard_normal((4, 2)).astype(np.float32)
 
@@ -260,9 +275,9 @@ class TestBackward:
 
     def test_eltwise_skip_gradients(self):
         rng = np.random.default_rng(22)
-        specs = [Dense(3, 4), Activation(RELU), Dense(4, 4),
+        specs = [Dense(3, 4), ReLU(), Dense(4, 4),
                  EltwiseAdd(source=1)]
-        net = build_network(specs, QuantPolicy.fp32(), RngStream(11))
+        net = build_network(specs, QuantPolicy(Precision.FP32), RngStream(11))
         x = rng.standard_normal((5, 3)).astype(np.float32)
         dy = rng.standard_normal((5, 4)).astype(np.float32)
 
@@ -284,7 +299,7 @@ class TestBackward:
         # four time steps, against finite differences of the loss.
         rng = np.random.default_rng(23)
         specs = [Lstm(2, 3), Dense(3, 1)]
-        net = build_network(specs, QuantPolicy.fp32(), RngStream(13))
+        net = build_network(specs, QuantPolicy(Precision.FP32), RngStream(13))
         x = rng.standard_normal((2, 4, 2)).astype(np.float32)
         dy = rng.standard_normal((2, 1)).astype(np.float32)
 
@@ -311,9 +326,9 @@ class TestBackward:
 
     def test_conv_pool_flatten_network_gradient(self):
         rng = np.random.default_rng(24)
-        specs = [Conv2d(1, 2, 3, pad=1), Activation(RELU),
-                 Pool(PoolKind.AVG, 2, 2), Flatten(), Dense(8, 2)]
-        net = build_network(specs, QuantPolicy.fp32(), RngStream(15))
+        specs = [Conv2d(1, 2, 3, pad=1), ReLU(),
+                 Pool(PoolKind.AVG, 2), Flatten(), Dense(8, 2)]
+        net = build_network(specs, QuantPolicy(Precision.FP32), RngStream(15))
         x = rng.standard_normal((2, 1, 4, 4)).astype(np.float32)
         dy = rng.standard_normal((2, 2)).astype(np.float32)
 
@@ -329,19 +344,22 @@ class TestBackward:
 
 class TestDropoutLayer:
     def test_eval_mode_is_identity(self):
-        net = build_network([Dropout(0.5)], QuantPolicy.fp32(), RngStream(0))
+        net = build_network([Dropout(0.5)], QuantPolicy(Precision.FP32),
+                            RngStream(0))
         x = np.arange(10, dtype=np.float32).reshape(2, 5)
         out, _ = net.forward(x, train=False)
         assert np.array_equal(out, x)
 
     def test_train_mode_needs_rng(self):
-        net = build_network([Dropout(0.5)], QuantPolicy.fp32(), RngStream(0))
+        net = build_network([Dropout(0.5)], QuantPolicy(Precision.FP32),
+                            RngStream(0))
         x = np.ones((2, 5), np.float32)
         with pytest.raises(ValueError):
             net.forward(x, train=True)
 
     def test_train_mode_deterministic_per_step_rng(self):
-        net = build_network([Dropout(0.5)], QuantPolicy.fp32(), RngStream(0))
+        net = build_network([Dropout(0.5)], QuantPolicy(Precision.FP32),
+                            RngStream(0))
         x = np.ones((4, 100), np.float32)
         a, _ = net.forward(x, train=True, step_rng=RngStream(1, 5))
         b, _ = net.forward(x, train=True, step_rng=RngStream(1, 5))
@@ -363,25 +381,25 @@ class TestUnderflowAccounting:
         return net, stats
 
     def test_fp16_flushes_tiny_error_grads(self):
-        net, stats = self.run_tiny_grads(QuantPolicy.fp16())
+        net, stats = self.run_tiny_grads(QuantPolicy(Precision.FP16))
         assert stats.underflow_fraction == 1.0
         for ps in net.param_sets():
             assert np.all(ps.grad == 0.0)
 
     def test_bf16_keeps_tiny_error_grads(self):
-        net, stats = self.run_tiny_grads(QuantPolicy.bf16())
+        net, stats = self.run_tiny_grads(QuantPolicy(Precision.BF16))
         assert stats.underflow_fraction == 0.0
         grads = np.concatenate([ps.grad.reshape(-1)
                                 for ps in net.param_sets()])
         assert np.any(grads != 0.0)
 
     def test_fp32_records_nothing(self):
-        _, stats = self.run_tiny_grads(QuantPolicy.fp32())
+        _, stats = self.run_tiny_grads(QuantPolicy(Precision.FP32))
         assert stats.nonzero == 0
 
     def test_bf16_grad_signs_track_fp32(self):
-        net32, _ = self.run_tiny_grads(QuantPolicy.fp32())
-        net16, _ = self.run_tiny_grads(QuantPolicy.bf16())
+        net32, _ = self.run_tiny_grads(QuantPolicy(Precision.FP32))
+        net16, _ = self.run_tiny_grads(QuantPolicy(Precision.BF16))
         g32 = np.concatenate([ps.grad.reshape(-1)
                               for ps in net32.param_sets()])
         g16 = np.concatenate([ps.grad.reshape(-1)
@@ -420,7 +438,7 @@ class TestLstmQuantization:
 
     def test_quantize_calls_per_step(self, monkeypatch):
         n, t, i, h = self.N, self.T, self.I, self.H
-        _, _, fwd, bwd = self.run(QuantPolicy.bf16(), monkeypatch)
+        _, _, fwd, bwd = self.run(QuantPolicy(Precision.BF16), monkeypatch)
         # Forward: the network input, one (N, H) hidden state per step,
         # then the outputs of both layers.
         assert fwd == [(n, t, i)] + [(n, h)] * t + [(n, h), (n, 2)]
@@ -429,7 +447,7 @@ class TestLstmQuantization:
         assert bwd == [(n, 2), (n, h)] + [(n, 4 * h)] * t
 
     def test_error_grads_recorded_once_per_step(self):
-        _, stats, _, _ = self.run(QuantPolicy.fp16())
+        _, stats, _, _ = self.run(QuantPolicy(Precision.FP16))
         n, t, h = self.N, self.T, self.H
         # dy entering Dense, dy entering the layer, then the (N, 4H) gate
         # gradient per step, less its forget-gate block at step 0: the
@@ -438,7 +456,7 @@ class TestLstmQuantization:
         assert stats.nonzero == n * 2 + n * h + t * n * 4 * h - n * h
 
     def test_cell_inputs_follow_activation_rule(self):
-        steps, _, _, _ = self.run(QuantPolicy.bf16())
+        steps, _, _, _ = self.run(QuantPolicy(Precision.BF16))
         assert len(steps) == self.T
         for xt, hq, _ in steps:
             for v in (xt, hq):
@@ -446,7 +464,7 @@ class TestLstmQuantization:
                 assert np.array_equal(v.view(np.uint32), q.view(np.uint32))
         # Under FP32 nothing is rounded: the fed-back state is the
         # cell's own output.
-        steps, _, _, _ = self.run(QuantPolicy.fp32())
+        steps, _, _, _ = self.run(QuantPolicy(Precision.FP32))
         for (_, _, cell), (_, hq, _) in zip(steps, steps[1:]):
             *_, o, c = cell
             assert np.array_equal(hq, o * np.tanh(c).astype(np.float32))
@@ -454,7 +472,8 @@ class TestLstmQuantization:
 
 class TestQuantizationPlacement:
     def test_dense_output_quantized_after_fp32_bias(self):
-        net = build_network([Dense(2, 2)], QuantPolicy.bf16(), RngStream(19))
+        net = build_network([Dense(2, 2)], QuantPolicy(Precision.BF16),
+                            RngStream(19))
         ps = net.layers[0].params[0]
         # Identity weights: off the diagonal the output is Q(bias) != 0,
         # on it Q(1 + bias) == 1, so a dropped bias or one added after Q
@@ -471,7 +490,7 @@ class TestQuantizationPlacement:
         assert np.array_equal(out, want)
 
     def test_conv_output_quantized_after_fp32_channel_bias(self):
-        net = build_network([Conv2d(1, 2, 1)], QuantPolicy.bf16(),
+        net = build_network([Conv2d(1, 2, 1)], QuantPolicy(Precision.BF16),
                             RngStream(19))
         ps = net.layers[0].params[0]
         ps.master[...] = np.float32(1.0)
@@ -492,7 +511,7 @@ class TestQuantizationPlacement:
         (every_layer_kind(), (4, 1, 4, 4)),
     ], ids=["mlp", "every-layer-kind"])
     def test_activations_quantized_between_layers(self, specs, x_shape):
-        net = build_network(specs, QuantPolicy.bf16(), RngStream(19))
+        net = build_network(specs, QuantPolicy(Precision.BF16), RngStream(19))
         x = np.random.default_rng(26).standard_normal(
             x_shape).astype(np.float32)
         _, tape = net.forward(x, train=True, step_rng=RngStream(1, 2))
@@ -504,8 +523,8 @@ class TestQuantizationPlacement:
                                   requantized.data.view(np.uint32))
 
     def test_output_of_non_gemm_last_layer_quantized(self):
-        net = build_network([Dense(2, 4), Activation(ActivationKind.TANH)],
-                            QuantPolicy.bf16(), RngStream(19))
+        net = build_network([Dense(2, 4), BatchNorm(4)],
+                            QuantPolicy(Precision.BF16), RngStream(19))
         x = np.random.default_rng(27).standard_normal(
             (4, 2)).astype(np.float32)
         _, tape = net.forward(x, train=False)
@@ -521,7 +540,7 @@ class TestQuantizationPlacement:
         # stays FP32 and is not.
         n = 8
         net = build_network([Dense(2, 4), BatchNorm(4), Dense(4, 2)],
-                            QuantPolicy.fp16(), RngStream(31))
+                            QuantPolicy(Precision.FP16), RngStream(31))
         rng = np.random.default_rng(32)
         x = rng.standard_normal((n, 2)).astype(np.float32)
         dy = rng.standard_normal((n, 2)).astype(np.float32)
@@ -533,23 +552,21 @@ class TestQuantizationPlacement:
 
 
 class TestSelectionPassThrough:
-    """ReLU and non-overlapping max pooling only select or zero values, so
-    their results keep their input's tag and are not quantized again;
-    the error gradients they pass back are still counted."""
+    """ReLU and max pooling only select or zero values, so their results
+    keep their input's tag and are not quantized again; the error
+    gradients they pass back are still counted."""
 
     X_SHAPE = (4, 1, 6, 6)
 
     @staticmethod
     def selecting():
-        return [Conv2d(1, 2, 3, pad=1), Activation(RELU),
-                Pool(PoolKind.MAX, 2, 3), Flatten(), Dense(8, 3)]
+        return [Conv2d(1, 2, 3, pad=1), ReLU(), Pool(PoolKind.MAX, 3),
+                Flatten(), Dense(8, 3)]
 
     @staticmethod
     def non_selecting():
-        return [Conv2d(1, 2, 3, pad=1),
-                Activation(ActivationKind.LEAKY_RELU),
-                Pool(PoolKind.MAX, 3, 1), Pool(PoolKind.AVG, 2, 2),
-                Flatten(), Dense(8, 3)]
+        return [Conv2d(1, 2, 3, pad=1), Pool(PoolKind.AVG, 3), Flatten(),
+                Dense(8, 3)]
 
     def run(self, specs, policy, monkeypatch):
         """One forward and backward; returns the (layer class, role) of
@@ -591,8 +608,8 @@ class TestSelectionPassThrough:
         return (sorted(calls[:n_forward]), sorted(calls[n_forward:]), stats,
                 dy, grads)
 
-    @pytest.mark.parametrize("policy", [QuantPolicy.bf16(),
-                                        QuantPolicy.fp16()],
+    @pytest.mark.parametrize("policy", [QuantPolicy(Precision.BF16),
+                                        QuantPolicy(Precision.FP16)],
                              ids=["bf16", "fp16"])
     def test_selections_are_not_quantized_again(self, policy, monkeypatch):
         fwd, bwd, _, _, _ = self.run(self.selecting(), policy, monkeypatch)
@@ -603,24 +620,22 @@ class TestSelectionPassThrough:
         # the pool and the ReLU pass back keep their tag.
         assert bwd == [("eltwise", "err"), ("gemm", "err")]
 
-    @pytest.mark.parametrize("policy", [QuantPolicy.bf16(),
-                                        QuantPolicy.fp16()],
+    @pytest.mark.parametrize("policy", [QuantPolicy(Precision.BF16),
+                                        QuantPolicy(Precision.FP16)],
                              ids=["bf16", "fp16"])
     def test_non_selections_are_quantized(self, policy, monkeypatch):
         fwd, bwd, _, _, _ = self.run(self.non_selecting(), policy,
                                      monkeypatch)
         assert fwd == sorted([("conv", "act"), ("conv", "act"),
-                              ("activation", "act"), ("pool", "act"),
                               ("pool", "act"), ("gemm", "act")])
         # Flatten passes its gradient to the avg pool with its tag; the
-        # avg pool, the overlapping max pool and LeakyReLU do not.
+        # avg pool's is quantized on entering the conv.
         assert bwd == sorted([("gemm", "err"), ("eltwise", "err"),
-                              ("pool", "err"), ("activation", "err"),
                               ("conv", "err")])
 
     @pytest.mark.parametrize("policy, precision", [
-        (QuantPolicy.bf16(), Precision.BF16),
-        (QuantPolicy.fp16(), Precision.FP16)], ids=["bf16", "fp16"])
+        (QuantPolicy(Precision.BF16), Precision.BF16),
+        (QuantPolicy(Precision.FP16), Precision.FP16)], ids=["bf16", "fp16"])
     def test_stats_count_the_gradients_selections_pass_back(
             self, policy, precision, monkeypatch):
         _, _, stats, dy, grads = self.run(self.selecting(), policy,

@@ -158,7 +158,7 @@ class TestDumpLoad:
 
 class TestQuantPolicy:
     def test_defaults(self):
-        p = QuantPolicy.bf16()
+        p = QuantPolicy(Precision.BF16)
         assert p.precision is Precision.BF16
         assert p.mode is RNE
         assert not p.identity
@@ -170,4 +170,4 @@ class TestQuantPolicy:
             p.precision = Precision.FP16
 
     def test_fp32_identity(self):
-        assert QuantPolicy.fp32().identity
+        assert QuantPolicy().identity

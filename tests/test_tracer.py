@@ -37,7 +37,7 @@ def test_detail_tracer_installs_and_uninstalls():
             assert getattr(kernels, name).__wrapped__ is originals[name]
         assert tensor.quantize_tensor.__wrapped__ is quantize
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        _, cache = kernels.pool_forward(PoolKind.MAX, x, 2, 2)
+        _, cache = kernels.pool_forward(PoolKind.MAX, x, 2)
         kernels.pool_backward(np.ones((1, 1, 2, 2), np.float32), cache)
         kernels._im2col(x, 2, 1, 0)
         c = np.zeros((2, 3), np.float32)
@@ -49,7 +49,7 @@ def test_detail_tracer_installs_and_uninstalls():
     for name in HOOKED:
         assert getattr(kernels, name) is originals[name]
     assert tensor.quantize_tensor is quantize
-    # Pooling shares the window code of _im2col/_col2im, not those names,
+    # Pooling reshapes its tiles and calls neither _im2col nor _col2im,
     # so its span stays a leaf and the two figures do not overlap.  The
     # LSTM cell is gate arithmetic: its GEMMs run in the layer around it,
     # so its span is a leaf too.
