@@ -261,8 +261,7 @@ def _eval_metric(net: Network, ds: Dataset, batch: int = 512) -> float:
     outs = []
     n = ds.eval_x.shape[0]
     for lo in range(0, n, batch):
-        y, _ = net.forward(ds.eval_x[lo:lo + batch], train=False)
-        outs.append(y)
+        outs.append(net.infer(ds.eval_x[lo:lo + batch]))
     out = np.concatenate(outs, axis=0)
     if ds.metric == "accuracy":
         pred = out.argmax(axis=1)
@@ -276,8 +275,7 @@ def _train_loss_full(net: Network, ds: Dataset, tx, ty,
     count = 0
     for lo in range(0, tx.shape[0], batch):
         x = tx[lo:lo + batch]
-        y, _ = net.forward(x, train=False)
-        loss, _ = _loss_and_grad(ds.metric, y, ty[lo:lo + batch])
+        loss, _ = _loss_and_grad(ds.metric, net.infer(x), ty[lo:lo + batch])
         total += loss * x.shape[0]
         count += x.shape[0]
     return total / count
@@ -412,7 +410,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             if cfg.loss_prescale != 1.0:
                 d = d * prescale
             d = scaler.scale_loss_grad(d)
-            net.backward(tape, d, stats=stats)
+            # The input gradient has no reader, so layer 0 skips it.
+            net.backward(tape, d, stats=stats, input_grad=False)
             scaler.unscale_grads(net.param_sets())
             opt.step(net.param_sets())
             net.refresh_shadows()

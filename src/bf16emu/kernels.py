@@ -11,13 +11,16 @@ quantizes the hidden state and the gate gradients between them.
 Reduction order is fixed so results are bit-reproducible.  The GEMM
 never calls BLAS, whose blocked sums take another order.  It adds one k
 step at a time, in increasing k, into an FP32 accumulator, either as
-one NumPy call per step or, for outputs of up to 16384 elements, as one
-``np.add.reduce`` over the leading axis of a chunk of products: NumPy
-adds the rows of a non-innermost axis one after another, elementwise,
-so the order is the same.  A single output element (m*n == 1) would
-make that axis the innermost loop, which NumPy sums pairwise, so it
-stays on the per-step loop.  The chunk's products come from
-``np.einsum``, whose fixed cost per row is about half
+one NumPy call per step or as one ``np.add.reduce`` over the leading
+axis of a chunk of products: NumPy adds the rows of a non-innermost
+axis one after another, elementwise, so the order is the same.  The
+chunked path takes outputs of up to 16384 elements whole, and larger
+outputs whose rows hold at most 2048 elements one block of whole rows
+(at most 16384 elements) at a time, so its buffer stays at about 1 MB.
+Longer rows run faster on the loop.  A single output element
+(m*n == 1) would make the reduced axis the innermost loop, which NumPy
+sums pairwise, so it stays on the per-step loop.  The chunk's products
+come from ``np.einsum``, whose fixed cost per row is about half
 ``np.multiply``'s; they carry the same bits into the sum
 (``_gemm_chunked``).
 Without subnormals, x86's ``VDPBF16PS`` gives the same bits as this
@@ -43,8 +46,10 @@ offset at a time, so each pixel sees its contributions in that fixed
 order.  Pooling tiles the image with non-overlapping windows, a reshape
 view that drops the border the tiles miss: each pixel lies in at most
 one window, so pooling's backward writes its one share in place and
-sums nothing.  It does not go through ``_im2col``/``_col2im``, so a
-trace that wraps those names times convolution alone.
+sums nothing; avg pooling adds each tile into +0 in row-major order.
+It does not go through ``_im2col``/``_col2im``, so a trace that wraps
+those names times convolution alone.  ``conv2d_backward`` skips dx, its
+GEMM and ``_col2im``, for a caller that has no use for it.
 
 ReLU's backward and max pooling select values with bit masks
 (``_mask``), not with ``np.where`` or ``np.argmax``: NumPy's select
@@ -79,20 +84,22 @@ __all__ = [
 ]
 
 
-# Shapes with 2 <= m*n <= _CHUNKED_MAX_MN and k > 1 take the chunked path
-# of _gemm; _CHUNK_ELEMS bounds the kc * m * n products of one chunk.
-# Measured against the per-k loop at k = 64 unless named, the chunked
-# path took 0.44-0.86x the loop's time on every output of up to 65536
-# elements in rows of up to 2048, e.g. the LSTM's (128, 32, 128)
-# 0.41 -> 0.28 ms.  Past 16384 elements the buffer of a chunk (about
-# 1.2 MB, where the loop holds one (m, n) temporary) raised the peak RSS
-# of a whole lstm-sine or mlp-circles run by 0.6-0.7 MB, through their
-# batch-512 evaluation GEMMs (512, 32, 128) and (512, 64, 64).  Rows of
-# 3072 or more were slower chunked, 1.16-2.7x, but the bound keeps
-# conv's (8, 9, 8192) (0.23 -> 0.52 ms chunked) on the loop, and no
-# shipped config has such rows below it; the longest taking the chunked
-# path hold 512.
+# Outputs with 2 <= m*n <= _CHUNKED_MAX_MN and k > 1 take the chunked
+# path of _gemm.  Larger ones take it one block of whole rows at a time,
+# each of at most _CHUNKED_MAX_MN elements, when their rows hold 2 to
+# _CHUNKED_MAX_ROW elements; longer rows stay on the per-k loop.
+# _CHUNK_ELEMS bounds the kc * m * n products of one chunk, so a chunk's
+# buffer never holds more than 17 * 16384 floats (1.1 MB).  Measured
+# against the per-k loop at k = 64 unless named, the chunked path took
+# 0.44-0.86x the loop's time on every output of up to 65536 elements in
+# rows of up to 2048, e.g. the LSTM's (128, 32, 128) 0.41 -> 0.28 ms.
+# Rows of 3072 or more were slower chunked, 1.16-2.7x: conv's
+# (8, 9, 8192) took 0.23 ms on the loop and 0.52 ms chunked.  A buffer
+# sized by a whole output past 16384 elements raised the peak RSS of an
+# lstm-sine or mlp-circles run by 0.6-0.7 MB; the row blocks keep it at
+# the 16384-element size.
 _CHUNKED_MAX_MN = 1 << 14
+_CHUNKED_MAX_ROW = 2048
 _CHUNK_ELEMS = 1 << 18
 
 
@@ -125,19 +132,43 @@ def _gemm_rows(x: np.ndarray, y: np.ndarray, shape) -> np.ndarray:
     """
     k = x.shape[0]
     acc = np.zeros(shape, np.float32)
-    if 2 <= acc.size <= _CHUNKED_MAX_MN and k > 1:
-        _gemm_chunked(x, y, acc)
-        # A NaN product may keep the other NaN's payload there (see
-        # _gemm_chunked), and any NaN product leaves a NaN in its output
-        # element; such outputs are built again on the loop.
-        if not np.isnan(acc).any():
-            return acc
+    rows, width = shape
+    if k > 1 and 2 <= acc.size <= _CHUNKED_MAX_MN:
+        _gemm_checked(x, y, acc)
+    elif k > 1 and 2 <= width <= _CHUNKED_MAX_ROW:
+        # Blocks of whole rows, each of at most _CHUNKED_MAX_MN elements:
+        # the operand that runs along the rows is sliced, the other
+        # broadcasts.
+        step = _CHUNKED_MAX_MN // width
+        for lo in range(0, rows, step):
+            _gemm_checked(x if x.shape[1] == 1 else x[:, lo:lo + step],
+                          y if y.shape[1] == 1 else y[:, lo:lo + step],
+                          acc[lo:lo + step])
+    else:
+        _gemm_loop(x, y, acc)
+    return acc
+
+
+def _gemm_checked(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
+    """_gemm_chunked, redone on the loop if ``acc`` ends up holding a NaN.
+
+    A NaN product may keep the other NaN's payload there (see
+    _gemm_chunked), and any NaN product leaves a NaN in its output
+    element.
+    """
+    _gemm_chunked(x, y, acc)
+    if np.isnan(acc).any():
         acc[...] = 0
+        _gemm_loop(x, y, acc)
+
+
+def _gemm_loop(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
+    """Adds x[j] * y[j] into ``acc`` one NumPy call per step, in
+    increasing j."""
     tmp = np.empty_like(acc)
-    for j in range(k):
+    for j in range(x.shape[0]):
         np.multiply(x[j], y[j], out=tmp)
         acc += tmp
-    return acc
 
 
 def _gemm_chunked(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
@@ -151,7 +182,9 @@ def _gemm_chunked(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
     loop: with m*n == 1 it is, and NumPy then sums it pairwise, as row 0
     plus the pairwise sum of the rest, which changed the bits for every
     such shape tried with k >= 7.  Those shapes, k == 1 and large
-    outputs stay on the loop.
+    outputs in rows of one element or of more than _CHUNKED_MAX_ROW stay
+    on the loop; other large outputs come here one block of whole rows
+    at a time, so ``acc`` never holds more than _CHUNKED_MAX_MN elements.
 
     The products come from ``np.einsum`` over a size-1 contracted axis,
     with a's element as the first operand: NumPy pays about half
@@ -162,10 +195,12 @@ def _gemm_chunked(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
     That cannot change a sum: the sum starts at +0, and a rounded sum is
     -0 only when both addends are -0, so the running sum is never -0, and
     adding either zero to it gives the same bits.  And NaN * NaN may keep
-    b's payload; _gemm_rows redoes on the loop any output holding a NaN.
+    b's payload; _gemm_checked redoes on the loop any block holding a
+    NaN.
     """
     k = x.shape[0]
-    # m*n <= _CHUNKED_MAX_MN keeps the chunk length at 16 or more.
+    # acc.size <= _CHUNKED_MAX_MN keeps the chunk length at 16 or more,
+    # and the buffer at or below (1 + 16) * _CHUNKED_MAX_MN floats.
     kc = min(_CHUNK_ELEMS // acc.size, k)
     buf = np.empty((1 + kc,) + acc.shape, np.float32)
     # x runs along p (a column of a) or, transposed, along q (a row of
@@ -260,8 +295,8 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1,
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
-                    stride: int = 1, pad: int = 0):
-    """Returns (dx, dw), both FP32."""
+                    stride: int = 1, pad: int = 0, input_grad: bool = True):
+    """Returns (dx, dw), both FP32; dx is None unless ``input_grad``."""
     f, k = _check_conv(x, w)
     n, _, h, wd = x.shape
     ho = _out_extent(h, k, stride, pad)
@@ -271,8 +306,10 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
     # dy as (F, N*Ho*Wo): the rows of dx's GEMM run along N*Ho*Wo, and
     # dw's long k runs down the contiguous window matrix.
     dy_t = dy.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
-    wmat = w.reshape(f, -1)
-    dx = _col2im(_gemm(wmat.T, dy_t), x.shape, k, stride, pad)
+    dx = None
+    if input_grad:
+        dx = _col2im(_gemm(w.reshape(f, -1).T, dy_t), x.shape, k, stride,
+                     pad)
     dw = _gemm(dy_t, _im2col(x, k, stride, pad)).reshape(w.shape)
     return dx, dw
 
@@ -371,13 +408,19 @@ def _tiles(a: np.ndarray, k: int) -> np.ndarray:
 
 def pool_forward(kind: PoolKind, x: np.ndarray, window: int):
     """Returns (y, cache).  Max pooling picks, bit for bit, the element
-    np.argmax would: the first row-major winner, or the first NaN."""
+    np.argmax would: the first row-major winner, or the first NaN.  Avg
+    pooling adds each tile's elements into +0 in row-major order, then
+    divides by window**2."""
     k = window
     tiles = _tiles(x, k)
     if kind is PoolKind.AVG:
-        wins = tiles.transpose(0, 1, 2, 4, 3, 5)
-        wins = wins.reshape(wins.shape[:4] + (k * k,))
-        return wins.mean(axis=-1, dtype=np.float32), (kind, x.shape, k, None)
+        # One add per element of the tile: a reduction over the window
+        # would not keep this order for 9 or more addends.
+        acc = tiles[:, :, :, 0, :, 0] + np.float32(0)
+        for p in range(1, k * k):
+            acc += tiles[:, :, :, p // k, :, p % k]
+        acc /= np.float32(k * k)
+        return acc, (kind, x.shape, k, None)
     # One contiguous (k * k, N, C, Ho, Wo) copy: each pass below then
     # runs over whole slots, not over rows k elements long.
     slots = np.ascontiguousarray(tiles.transpose(3, 5, 0, 1, 2, 4))

@@ -26,6 +26,14 @@ changes no result.  Avg pooling computes new values; they are quantized.
 `QuantStats` still counts each error gradient a selecting layer passes
 back, as the quantization it skips would have, so `grad_underflow_frac`
 does not depend on the skip; Flatten's pass-through is not counted.
+
+`Network.infer` is the forward-only pass of evaluation.  It runs the
+layer loop of `forward` with a `Tape` that does not record: layers keep
+no backward cache, the LSTM keeps no per-step state, and of the layer
+outputs only those an `EltwiseAdd` reads are kept.  Its output has the
+bits of `forward(train=False)`.  `Network.backward` with
+``input_grad=False`` lets the first layer skip its input gradient, which
+training never reads.
 """
 
 from __future__ import annotations
@@ -183,12 +191,22 @@ class QuantStats:
 
 
 class Tape:
-    """Per-forward cache of layer inputs/outputs; consumed once."""
+    """Per-forward cache of layer inputs/outputs; consumed once.
 
-    def __init__(self):
+    A tape made with ``record=False`` keeps nothing for a backward pass:
+    `cache` drops what the layers hand it, and the network keeps only the
+    outputs an `EltwiseAdd` reads (``None`` stands for the others)."""
+
+    def __init__(self, record: bool = True):
+        self.record = record
         self.caches: list = []
-        self.outputs: list[Tensor] = []
+        self.outputs: list[Tensor | None] = []
         self.consumed = False
+
+    def cache(self, value) -> None:
+        """Keep ``value`` for the layer's backward, if recording."""
+        if self.record:
+            self.caches.append(value)
 
 
 @dataclass
@@ -253,7 +271,11 @@ class _Layer:
     def forward(self, x: Tensor, ctx: _Ctx, tape: Tape) -> Tensor:
         raise NotImplementedError
 
-    def backward(self, dy: Tensor, ctx: _Ctx, cache) -> Tensor:
+    def backward(self, dy: Tensor, ctx: _Ctx, cache,
+                 input_grad: bool) -> Tensor | None:
+        """Accumulates parameter gradients and returns the input
+        gradient.  Without ``input_grad`` a layer may skip computing it
+        and return None."""
         raise NotImplementedError
 
 
@@ -274,14 +296,16 @@ class _DenseLayer(_Layer):
             raise ShapeError(f"dense{self.index} input shape {x.shape}")
         ps = self.params[0]
         y = K._gemm(x.data, ps.shadow.T) + ps.bias
-        tape.caches.append(x)
+        tape.cache(x)
         return Tensor(y)
 
-    def backward(self, dy, ctx, cache):
+    def backward(self, dy, ctx, cache, input_grad):
         x = cache
         ps = self.params[0]
         ps.grad += K._gemm(dy.data.T, x.data)
         ps.bias_grad += dy.data.sum(axis=0, dtype=np.float32)
+        if not input_grad:
+            return None
         return Tensor(K._gemm(dy.data, ps.shadow))
 
 
@@ -302,16 +326,17 @@ class _ConvLayer(_Layer):
         ps = self.params[0]
         y = K.conv2d_forward(x.data, ps.shadow, self.spec.stride,
                              self.spec.pad) + ps.bias[:, None, None]
-        tape.caches.append(x.data)
+        tape.cache(x.data)
         return Tensor(y)
 
-    def backward(self, dy, ctx, cache):
+    def backward(self, dy, ctx, cache, input_grad):
         ps = self.params[0]
         dx, dw = K.conv2d_backward(cache, ps.shadow, dy.data,
-                                   self.spec.stride, self.spec.pad)
+                                   self.spec.stride, self.spec.pad,
+                                   input_grad)
         ps.grad += dw
         ps.bias_grad += dy.data.sum(axis=(0, 2, 3), dtype=np.float32)
-        return Tensor(dx)
+        return None if dx is None else Tensor(dx)
 
 
 class _BatchNormLayer(_Layer):
@@ -328,10 +353,10 @@ class _BatchNormLayer(_Layer):
         ps = self.params[0]
         y, cache = K.batchnorm_forward(x.data, ps.shadow, ps.bias,
                                        self.spec.eps)
-        tape.caches.append(cache)
+        tape.cache(cache)
         return Tensor(y)
 
-    def backward(self, dy, ctx, cache):
+    def backward(self, dy, ctx, cache, input_grad):
         ps = self.params[0]
         dx, dgamma, dbeta = K.batchnorm_backward(dy.data, ps.shadow, cache)
         ps.grad += dgamma
@@ -347,10 +372,10 @@ class _ReluLayer(_Layer):
         super().__init__(index)
 
     def forward(self, x, ctx, tape):
-        tape.caches.append(x.data)
+        tape.cache(x.data)
         return self._result(K.relu_forward(x.data), x)
 
-    def backward(self, dy, ctx, cache):
+    def backward(self, dy, ctx, cache, input_grad):
         return self._result(K.relu_backward(cache, dy.data), dy)
 
 
@@ -364,10 +389,10 @@ class _PoolLayer(_Layer):
 
     def forward(self, x, ctx, tape):
         y, cache = K.pool_forward(self.spec.kind, x.data, self.spec.window)
-        tape.caches.append(cache)
+        tape.cache(cache)
         return self._result(y, x)
 
-    def backward(self, dy, ctx, cache):
+    def backward(self, dy, ctx, cache, input_grad):
         return self._result(K.pool_backward(dy.data, cache), dy)
 
 
@@ -380,15 +405,15 @@ class _DropoutLayer(_Layer):
 
     def forward(self, x, ctx, tape):
         if not ctx.train or self.spec.p == 0.0:
-            tape.caches.append(None)
+            tape.cache(None)
             return x
         if ctx.rng is None:
             raise ValueError("dropout in train mode needs a step rng")
         y, mask = K.dropout(x.data, self.spec.p, ctx.rng.child(self.index))
-        tape.caches.append(mask)
+        tape.cache(mask)
         return Tensor(y)
 
-    def backward(self, dy, ctx, cache):
+    def backward(self, dy, ctx, cache, input_grad):
         if cache is None:
             return dy
         scale = np.float32(1.0 / (1.0 - self.spec.p))
@@ -408,10 +433,10 @@ class _EltwiseAddLayer(_Layer):
         skip = tape.outputs[self.spec.source]
         if skip.shape != x.shape:
             raise ShapeError("eltwise operands differ in shape")
-        tape.caches.append(None)
+        tape.cache(None)
         return Tensor(x.data + skip.data)
 
-    def backward(self, dy, ctx, cache):
+    def backward(self, dy, ctx, cache, input_grad):
         # The caller routes a copy of the returned gradient to the skip
         # source as well; both branches see the same quantized gradient.
         return dy
@@ -446,27 +471,29 @@ class _LstmLayer(_Layer):
             hq = _quantize(Tensor(h), ctx, self.layer_class, "act").data
             pre = (K._gemm(xt, w_ih.T) + K._gemm(hq, w_hh.T)) + bias
             h, c, cell = K.lstm_cell_forward(pre, c)
-            steps.append((xt, hq, cell))
-        tape.caches.append((steps, x.shape))
+            if tape.record:
+                steps.append((xt, hq, cell))
+        tape.cache((steps, x.shape))
         return Tensor(h)
 
-    def backward(self, dy, ctx, cache):
+    def backward(self, dy, ctx, cache, input_grad):
         steps, x_shape = cache
         w_ih_ps, w_hh_ps = self.params
         w_ih, w_hh = w_ih_ps.shadow, w_hh_ps.shadow
         dh = dy.data
         dc = np.zeros_like(dh)
-        dx = np.zeros(x_shape, np.float32)
+        dx = np.zeros(x_shape, np.float32) if input_grad else None
         for step in range(x_shape[1] - 1, -1, -1):
             xt, hq, cell = steps[step]
             dpre, dc = K.lstm_cell_backward(dh, dc, cell)
             dpre = _quantize(Tensor(dpre), ctx, self.layer_class, "err").data
-            dx[:, step, :] = K._gemm(dpre, w_ih)
+            if input_grad:
+                dx[:, step, :] = K._gemm(dpre, w_ih)
             dh = K._gemm(dpre, w_hh)
             w_ih_ps.grad += K._gemm(dpre.T, xt)
             w_hh_ps.grad += K._gemm(dpre.T, hq)
             w_ih_ps.bias_grad += dpre.sum(axis=0, dtype=np.float32)
-        return Tensor(dx)
+        return None if dx is None else Tensor(dx)
 
 
 class _FlattenLayer(_Layer):
@@ -476,11 +503,11 @@ class _FlattenLayer(_Layer):
         super().__init__(index)
 
     def forward(self, x, ctx, tape):
-        tape.caches.append(x.shape)
+        tape.cache(x.shape)
         n = x.shape[0]
         return Tensor(x.data.reshape(n, -1).copy(), x.tag)
 
-    def backward(self, dy, ctx, cache):
+    def backward(self, dy, ctx, cache, input_grad):
         return Tensor(dy.data.reshape(cache).copy(), dy.tag)
 
 
@@ -506,6 +533,9 @@ class Network:
     def __init__(self, layers, policy: QuantPolicy):
         self.layers = layers
         self.policy = policy
+        # The layers whose outputs an EltwiseAdd reads.
+        self._skip_sources = {layer.spec.source for layer in layers
+                              if isinstance(layer, _EltwiseAddLayer)}
         self.refresh_shadows()
 
     # -- parameters -------------------------------------------------------
@@ -537,21 +567,32 @@ class Network:
     def forward(self, x: np.ndarray, train: bool = True,
                 step_rng: RngStream | None = None):
         """Returns the float32 output and the tape for `backward`."""
-        ctx = _Ctx(self.policy, train, step_rng)
         tape = Tape()
+        return self._run(x, _Ctx(self.policy, train, step_rng), tape), tape
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """The output of ``forward(x, train=False)``, bit for bit, from a
+        pass that keeps nothing for `backward`."""
+        return self._run(x, _Ctx(self.policy), Tape(record=False))
+
+    def _run(self, x: np.ndarray, ctx: _Ctx, tape: Tape) -> np.ndarray:
         out = Tensor(x)
         if self.layers:
             out = _quantize(out, ctx, self.layers[0].layer_class, "act")
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers):
             out = _quantize(layer.forward(out, ctx, tape), ctx,
                             layer.layer_class, "act")
-            tape.outputs.append(out)
-        return out.data, tape
+            keep = tape.record or i in self._skip_sources
+            tape.outputs.append(out if keep else None)
+        return out.data
 
     def backward(self, tape: Tape, dy: np.ndarray,
-                 stats: QuantStats | None = None) -> np.ndarray:
+                 stats: QuantStats | None = None,
+                 input_grad: bool = True) -> np.ndarray | None:
         """Accumulates parameter gradients; returns the float32 input
-        gradient.  Error gradients zeroed by quantization go to ``stats``."""
+        gradient, or None without ``input_grad``, which lets the first
+        layer skip computing it.  Error gradients zeroed by quantization
+        go to ``stats``."""
         if tape.consumed:
             raise RuntimeError("tape already consumed by a backward pass")
         tape.consumed = True
@@ -567,12 +608,13 @@ class Network:
                 grad = Tensor(grad.data + pending.pop(i))
             layer = self.layers[i]
             grad = _quantize(grad, ctx, layer.layer_class, "err", selected)
-            grad = layer.backward(grad, ctx, tape.caches[i])
+            grad = layer.backward(grad, ctx, tape.caches[i],
+                                  input_grad or i > 0)
             selected = layer.selects
             if isinstance(layer, _EltwiseAddLayer):
                 src = layer.spec.source
                 pending[src] = pending.get(src, 0) + grad.data
-        return grad.data
+        return grad.data if input_grad else None
 
 
 def build_network(specs, policy: QuantPolicy, rng: RngStream) -> Network:

@@ -127,10 +127,9 @@ def conv_dw_oracle(x, w_shape, dy, stride, pad):
 
 def pool_oracle(kind, x, window, stride, dy):
     """(y, dx) of pooling by scalar loops.  Max takes the first row-major
-    winner, or the first NaN; avg sums its window in row-major order
-    (NumPy reduces fewer than 8 addends in order) and divides by
-    window**2.  Each input pixel adds its windows' shares in (u, v) order
-    into +0."""
+    winner, or the first NaN; avg sums its window into +0 in row-major
+    order and divides by window**2.  Each input pixel adds its windows'
+    shares in (u, v) order into +0."""
     n, c, h, w = x.shape
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
@@ -154,8 +153,8 @@ def pool_oracle(kind, x, window, stride, dy):
                         y[b, ch, i, j] = vals[best]
                         share[b, ch, i, j].flat[best] = dy[b, ch, i, j]
                     else:
-                        acc = vals[0]
-                        for val in vals[1:]:
+                        acc = np.float32(0.0)
+                        for val in vals:
                             acc = np.float32(acc + val)
                         y[b, ch, i, j] = np.float32(acc / k)
                         share[b, ch, i, j] = np.float32(dy[b, ch, i, j] / k)
@@ -225,6 +224,23 @@ SPECIAL = np.uint32([
     0x33800000, 0x387FC000, 0x38800000, 0x477FE000,
     0x7FC00001, 0x7FC00002,
 ]).view(np.float32)
+
+
+def spy_chunked(monkeypatch):
+    """Records the shape of each accumulator _gemm_chunked receives, and
+    checks that it and the chunk buffer stay within their bounds."""
+    calls = []
+    chunked_gemm = kernels._gemm_chunked
+
+    def spy(x, y, acc):
+        assert acc.size <= MAX_MN
+        kc = min(kernels._CHUNK_ELEMS // acc.size, x.shape[0])
+        assert (1 + kc) * acc.size <= 17 * MAX_MN
+        calls.append(acc.shape)
+        chunked_gemm(x, y, acc)
+
+    monkeypatch.setattr(kernels, "_gemm_chunked", spy)
+    return calls
 
 
 class TestGemm:
@@ -340,30 +356,31 @@ class TestGemm:
         assert np.array_equal(got, gemm_loop(a, b).view(np.uint32))
 
     # Each side of the bound of the chunked path, in both orientations
-    # ((2048, 9, 8) and (2048, 9, 9) run transposed, with rows of 2048),
-    # conv's (8, 9, 8192), whose long rows are slower chunked, and the
-    # LSTM's recurrent (128, 32, 128) and dh/dW_hh (128, 128, 32) GEMMs.
+    # ((2048, 9, 8) and (2048, 9, 9) run transposed, with rows of 2048).
+    # Past MAX_MN elements, outputs in rows of up to 2048 run chunked in
+    # row blocks, and longer rows stay on the loop: conv's (8, 9, 8192),
+    # rows of 2049 in both orientations.  So do k == 1 and rows of one
+    # element.  Then the LSTM's recurrent (128, 32, 128) and dh/dW_hh
+    # (128, 128, 32) GEMMs.
     @pytest.mark.parametrize("shape, chunked", [
         ((MAX_MN // 2048, 5, 2048), True),
-        ((MAX_MN // 2048 + 1, 5, 2048), False),
+        ((MAX_MN // 2048 + 1, 5, 2048), True),
         ((MAX_MN // 256, 3, 256), True),
-        ((MAX_MN // 256 + 1, 3, 256), False),
+        ((MAX_MN // 256 + 1, 3, 256), True),
         ((2048, 9, MAX_MN // 2048), True),
-        ((2048, 9, MAX_MN // 2048 + 1), False),
+        ((2048, 9, MAX_MN // 2048 + 1), True),
         ((8, 9, 8192), False),
         ((128, 32, 128), True),
         ((128, 128, 32), True),
+        ((MAX_MN // 2049, 5, 2049), True),
+        ((MAX_MN // 2049 + 1, 5, 2049), False),
+        ((2049, 9, MAX_MN // 2049 + 1), False),
+        ((MAX_MN // 128 + 1, 1, 128), False),
+        ((MAX_MN + 1, 3, 1), False),
     ])
     def test_switch_point_matches_per_k_loop(self, monkeypatch, shape,
                                              chunked):
-        calls = []
-
-        def spy(x, y, acc):
-            calls.append(acc.shape)
-            chunked_gemm(x, y, acc)
-
-        chunked_gemm = kernels._gemm_chunked
-        monkeypatch.setattr(kernels, "_gemm_chunked", spy)
+        calls = spy_chunked(monkeypatch)
         m, k, n = shape
         rng = np.random.default_rng(m + k + n)
         a = rand_bf16(rng, (m, k))
@@ -374,6 +391,69 @@ class TestGemm:
             calls.clear()
             got = _gemm(a, y)
             assert bool(calls) == chunked
+            assert np.array_equal(got.view(np.uint32), want)
+
+    # Outputs past MAX_MN run chunked one block of whole rows at a time:
+    # (100, 7, 300) in blocks of 54 + 46 rows, and (300, 80, 100), its
+    # transposed twin; the LSTM's batch-512 evaluation GEMM (512, 32, 128)
+    # (transposed); conv2's (16, 72, 2048) forward and (72, 16, 2048)
+    # weight gradient.
+    @pytest.mark.parametrize("shape, rows, width", [
+        ((100, 7, 300), 100, 300), ((300, 80, 100), 100, 300),
+        ((512, 32, 128), 128, 512), ((16, 72, 2048), 16, 2048),
+        ((72, 16, 2048), 72, 2048),
+    ])
+    def test_row_blocks_match_per_k_loop(self, monkeypatch, shape, rows,
+                                         width):
+        calls = spy_chunked(monkeypatch)
+        m, k, n = shape
+        rng = np.random.default_rng(m * k + n)
+        a = rand_bf16(rng, (m, k))
+        b = rand_bf16(rng, (k, n))
+        want = gemm_loop(a, b).view(np.uint32)
+        step = MAX_MN // width
+        blocks = [(min(step, rows - lo), width)
+                  for lo in range(0, rows, step)]
+        for y in (b, np.asfortranarray(b)):
+            calls.clear()
+            got = _gemm(a, y)
+            assert calls == blocks
+            assert np.array_equal(got.view(np.uint32), want)
+
+    # (72, 16, 2048) runs as is and (2048, 32, 72) transposed, both as 9
+    # blocks of 8 rows of 2048; a NaN in a's row 20, or in b's column 20,
+    # lands in block 2 alone.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(72, 16, 2048), (2048, 32, 72)])
+    def test_nan_rebuilds_only_its_block_on_the_loop(self, monkeypatch,
+                                                     shape):
+        m, k, n = shape
+        rng = np.random.default_rng(8)
+        a = rand_bf16(rng, (m, k)).copy()
+        b = rand_bf16(rng, (k, n)).copy()
+        if m < n:
+            a[20, 3] = np.nan
+        else:
+            b[3, 20] = np.nan
+        chunked, looped = [], []
+
+        def spy(record, fn):
+            def wrapped(x, y, acc):
+                record.append(acc.ctypes.data)
+                fn(x, y, acc)
+            return wrapped
+
+        monkeypatch.setattr(kernels, "_gemm_chunked",
+                            spy(chunked, kernels._gemm_chunked))
+        monkeypatch.setattr(kernels, "_gemm_loop",
+                            spy(looped, kernels._gemm_loop))
+        want = gemm_loop(a, b).view(np.uint32)
+        for y in (b, np.asfortranarray(b)):
+            chunked.clear()
+            looped.clear()
+            got = _gemm(a, y)
+            assert len(chunked) == 9
+            assert looped == [chunked[2]]
             assert np.array_equal(got.view(np.uint32), want)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -768,11 +848,12 @@ class TestPool:
 
     @pytest.mark.parametrize("kind, window", [
         (PoolKind.MAX, 2), (PoolKind.MAX, 3), (PoolKind.AVG, 2),
+        (PoolKind.AVG, 3),
     ])
     def test_matches_scalar_oracle(self, kind, window):
         # 7 x 8 leaves a border the tiles miss, on both sides for window 3.
-        # (The oracle sums an avg window in order, as NumPy does for
-        # fewer than 8 addends, so avg is checked at window 2.)
+        # Avg at window 3 adds 9 elements, where a NumPy reduction would
+        # no longer keep the oracle's row-major order.
         rng = np.random.default_rng(window * 11)
         if kind is PoolKind.MAX:
             # Few distinct values, so windows hold tied maxima; zeros of
@@ -786,6 +867,8 @@ class TestPool:
             x = (rng.standard_normal((2, 2, 7, 8))
                  * 2.0 ** rng.integers(-12, 12, (2, 2, 7, 8))
                  ).astype(np.float32)
+            # A tile of -0 averages to +0.
+            x[0, 0, :window, :window] = -0.0
         dy = rng.standard_normal((2, 2, 7 // window, 8 // window)).astype(
             np.float32)
         dy[rng.random(dy.shape) < 0.25] = -0.0

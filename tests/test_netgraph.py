@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -342,6 +344,106 @@ class TestBackward:
         assert_grads_close(dx, fd_grad(loss, x.copy()))
 
 
+POLICIES = [QuantPolicy(Precision.FP32), QuantPolicy(Precision.BF16),
+            QuantPolicy(Precision.FP16)]
+POLICY_IDS = ["fp32", "bf16", "fp16"]
+
+# Nets and input shapes that together build every layer type, an
+# EltwiseAdd skip among them.
+INFER_NETS = {
+    "every-layer": (every_layer_kind, (4, 1, 4, 4)),
+    "avg-pool": (lambda: [Conv2d(1, 3, 3, pad=1), Pool(PoolKind.AVG, 3),
+                          Flatten(), Dense(12, 2)], (4, 1, 7, 6)),
+    "residual-mlp": (lambda: [Dense(3, 4), ReLU(), Dense(4, 4),
+                              EltwiseAdd(source=1), BatchNorm(4),
+                              Dropout(0.25), Dense(4, 2)], (5, 3)),
+    "lstm": (lambda: [Lstm(2, 5), Dense(5, 1)], (3, 6, 2)),
+}
+
+
+class TestInfer:
+    """`Network.infer` is `forward(train=False)` without the tape."""
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
+    @pytest.mark.parametrize("name", sorted(INFER_NETS))
+    def test_matches_forward_bits(self, name, policy):
+        specs, x_shape = INFER_NETS[name]
+        net = build_network(specs(), policy, RngStream(31))
+        x = np.random.default_rng(32).standard_normal(x_shape).astype(
+            np.float32)
+        want, _ = net.forward(x, train=False)
+        got = net.infer(x)
+        assert type(got) is np.ndarray and got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_lstm_sine_keeps_under_half_the_memory_of_forward(self):
+        # The lstm-sine net at the evaluation batch of 512, 32 steps.
+        net = build_network([Lstm(1, 32), Dense(32, 1)],
+                            QuantPolicy(Precision.BF16), RngStream(33))
+        x = np.random.default_rng(34).standard_normal(
+            (512, 32, 1)).astype(np.float32)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        forward_peak = peak(lambda: net.forward(x, train=False))
+        infer_peak = peak(lambda: net.infer(x))
+        assert infer_peak < forward_peak / 2
+
+
+class TestInputGradSkip:
+    """``backward(..., input_grad=False)`` lets layer 0 skip its dx and
+    changes no parameter gradient and no underflow count."""
+
+    @pytest.mark.parametrize("name, saved", [
+        ("dense", 1), ("conv", 1), ("lstm", 6),
+    ])
+    def test_same_param_grads_fewer_gemms(self, monkeypatch, name, saved):
+        specs, x_shape = {
+            "dense": ([Dense(3, 4), ReLU(), Dense(4, 2)], (5, 3)),
+            "conv": ([Conv2d(1, 2, 3, pad=1), ReLU(), Flatten(),
+                      Dense(32, 2)], (3, 1, 4, 4)),
+            "lstm": ([Lstm(2, 5), Dense(5, 2)], (3, 6, 2)),
+        }[name]
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        dy = (rng.standard_normal((x_shape[0], 2)) * 2.0 ** -20).astype(
+            np.float32)
+        calls = []
+        gemm = netgraph.K._gemm
+
+        def counting(a, b):
+            calls.append(a.shape)
+            return gemm(a, b)
+
+        monkeypatch.setattr(netgraph.K, "_gemm", counting)
+        results = []
+        for input_grad in (True, False):
+            net = build_network(specs, QuantPolicy(Precision.FP16),
+                                RngStream(36))
+            _, tape = net.forward(x, train=True)
+            stats = QuantStats()
+            calls.clear()
+            dx = net.backward(tape, dy, stats=stats, input_grad=input_grad)
+            grads = [g.copy() for ps in net.param_sets()
+                     for _, _, g in ps.arrays()]
+            results.append((dx, grads, (stats.nonzero, stats.zeroed),
+                            len(calls)))
+        (dx, grads, counts, n_calls), (none, grads2, counts2, n_calls2) = \
+            results
+        assert dx is not None and dx.shape == x.shape and none is None
+        for g, g2 in zip(grads, grads2):
+            assert np.array_equal(g.view(np.uint32), g2.view(np.uint32))
+        assert counts == counts2 and counts[0] > 0
+        assert n_calls - n_calls2 == saved
+
+
 class TestDropoutLayer:
     def test_eval_mode_is_identity(self):
         net = build_network([Dropout(0.5)], QuantPolicy(Precision.FP32),
@@ -593,9 +695,9 @@ class TestSelectionPassThrough:
 
         grads = {}
         for layer in net.layers:
-            def backward(g, ctx, cache, layer=layer,
+            def backward(g, ctx, cache, input_grad, layer=layer,
                          inner=layer.backward):
-                out = inner(g, ctx, cache)
+                out = inner(g, ctx, cache, input_grad)
                 grads[layer.index] = (g.data, out.data)
                 return out
             monkeypatch.setattr(layer, "backward", backward)
