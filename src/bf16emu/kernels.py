@@ -15,14 +15,15 @@ one NumPy call per step or as one ``np.add.reduce`` over the leading
 axis of a chunk of products: NumPy adds the rows of a non-innermost
 axis one after another, elementwise, so the order is the same.  The
 chunked path takes outputs of up to 16384 elements whole, and larger
-outputs whose rows hold at most 2048 elements one block of whole rows
-(at most 16384 elements) at a time, so its buffer stays at about 1 MB.
-Longer rows run faster on the loop.  A single output element
-(m*n == 1) would make the reduced axis the innermost loop, which NumPy
-sums pairwise, so it stays on the per-step loop.  The chunk's products
-come from ``np.einsum``, whose fixed cost per row is about half
-``np.multiply``'s; they carry the same bits into the sum
-(``_gemm_chunked``).
+outputs whose rows hold at most 2048 elements, with k >= 4, one block
+of whole rows (at most 16384 elements) at a time, so its buffer stays
+at about 1 MB.  Longer rows, and shorter k, run faster on the loop.  A
+single output element (m*n == 1) would make the reduced axis the
+innermost loop, which NumPy sums pairwise, so it stays on the per-step
+loop.  The chunk's products come from ``np.einsum``, whose fixed cost
+per row is about half ``np.multiply``'s; they carry the same bits into
+the sum (``_gemm_chunked``).  An output holding a NaN is rebuilt whole
+on the loop, whose NaN payloads it then keeps.
 Without subnormals, x86's ``VDPBF16PS`` gives the same bits as this
 order run over k with each adjacent pair of steps swapped
 (``tests/test_hardware.py``).
@@ -85,21 +86,24 @@ __all__ = [
 
 
 # Outputs with 2 <= m*n <= _CHUNKED_MAX_MN and k > 1 take the chunked
-# path of _gemm.  Larger ones take it one block of whole rows at a time,
-# each of at most _CHUNKED_MAX_MN elements, when their rows hold 2 to
-# _CHUNKED_MAX_ROW elements; longer rows stay on the per-k loop.
-# _CHUNK_ELEMS bounds the kc * m * n products of one chunk, so a chunk's
-# buffer never holds more than 17 * 16384 floats (1.1 MB).  Measured
-# against the per-k loop at k = 64 unless named, the chunked path took
-# 0.44-0.86x the loop's time on every output of up to 65536 elements in
-# rows of up to 2048, e.g. the LSTM's (128, 32, 128) 0.41 -> 0.28 ms.
-# Rows of 3072 or more were slower chunked, 1.16-2.7x: conv's
-# (8, 9, 8192) took 0.23 ms on the loop and 0.52 ms chunked.  A buffer
-# sized by a whole output past 16384 elements raised the peak RSS of an
-# lstm-sine or mlp-circles run by 0.6-0.7 MB; the row blocks keep it at
-# the 16384-element size.
+# path of _gemm whole.  Larger ones take it one block of whole rows at a
+# time, each of at most _CHUNKED_MAX_MN elements, when k >= _BLOCKED_MIN_K
+# and their rows hold 2 to _CHUNKED_MAX_ROW elements; the rest stay on
+# the per-k loop.  _CHUNK_ELEMS bounds the kc * m * n products of one
+# chunk, so a chunk's buffer never holds more than 17 * 16384 floats
+# (1.1 MB).  Measured against the per-k loop at k = 64 unless named, the
+# chunked path took 0.44-0.86x the loop's time on every output of up to
+# 65536 elements in rows of up to 2048, e.g. the LSTM's (128, 32, 128)
+# 0.41 -> 0.28 ms.  Rows of 3072 or more were slower chunked, 1.16-2.7x:
+# conv's (8, 9, 8192) took 0.23 ms on the loop and 0.52 ms chunked.  On
+# outputs of 32768-65536 elements the blocks took 1.13-1.21x the loop's
+# time at k = 2 (mlp-circles' (512, 2, 64) 0.053 -> 0.062 ms), 0.84-1.01x
+# at k = 3 and 0.70-0.95x from k = 4.  A buffer sized by a whole output
+# past 16384 elements raised the peak RSS of an lstm-sine or mlp-circles
+# run by 0.6-0.7 MB; the row blocks keep it at the 16384-element size.
 _CHUNKED_MAX_MN = 1 << 14
 _CHUNKED_MAX_ROW = 2048
+_BLOCKED_MIN_K = 4
 _CHUNK_ELEMS = 1 << 18
 
 
@@ -133,33 +137,26 @@ def _gemm_rows(x: np.ndarray, y: np.ndarray, shape) -> np.ndarray:
     k = x.shape[0]
     acc = np.zeros(shape, np.float32)
     rows, width = shape
-    if k > 1 and 2 <= acc.size <= _CHUNKED_MAX_MN:
-        _gemm_checked(x, y, acc)
-    elif k > 1 and 2 <= width <= _CHUNKED_MAX_ROW:
-        # Blocks of whole rows, each of at most _CHUNKED_MAX_MN elements:
-        # the operand that runs along the rows is sliced, the other
-        # broadcasts.
+    if acc.size >= 2 and (k > 1 and acc.size <= _CHUNKED_MAX_MN
+                          or k >= _BLOCKED_MIN_K
+                          and 2 <= width <= _CHUNKED_MAX_ROW):
+        # Blocks of whole rows, each of at most _CHUNKED_MAX_MN elements,
+        # so an output of up to that size is one block: the operand that
+        # runs along the rows is sliced, the other broadcasts.
         step = _CHUNKED_MAX_MN // width
         for lo in range(0, rows, step):
-            _gemm_checked(x if x.shape[1] == 1 else x[:, lo:lo + step],
+            _gemm_chunked(x if x.shape[1] == 1 else x[:, lo:lo + step],
                           y if y.shape[1] == 1 else y[:, lo:lo + step],
                           acc[lo:lo + step])
+        # A NaN product may keep the other NaN's payload there (see
+        # _gemm_chunked), and any NaN product leaves a NaN in its output
+        # element: the whole output is then rebuilt on the loop.
+        if np.isnan(acc).any():
+            acc[...] = 0
+            _gemm_loop(x, y, acc)
     else:
         _gemm_loop(x, y, acc)
     return acc
-
-
-def _gemm_checked(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
-    """_gemm_chunked, redone on the loop if ``acc`` ends up holding a NaN.
-
-    A NaN product may keep the other NaN's payload there (see
-    _gemm_chunked), and any NaN product leaves a NaN in its output
-    element.
-    """
-    _gemm_chunked(x, y, acc)
-    if np.isnan(acc).any():
-        acc[...] = 0
-        _gemm_loop(x, y, acc)
 
 
 def _gemm_loop(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
@@ -181,10 +178,11 @@ def _gemm_chunked(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
     loop.  That holds only while the reduced axis is not NumPy's inner
     loop: with m*n == 1 it is, and NumPy then sums it pairwise, as row 0
     plus the pairwise sum of the rest, which changed the bits for every
-    such shape tried with k >= 7.  Those shapes, k == 1 and large
-    outputs in rows of one element or of more than _CHUNKED_MAX_ROW stay
-    on the loop; other large outputs come here one block of whole rows
-    at a time, so ``acc`` never holds more than _CHUNKED_MAX_MN elements.
+    such shape tried with k >= 7.  Those shapes, k == 1 and the large
+    outputs _gemm_rows leaves on the loop (k < _BLOCKED_MIN_K, rows of
+    one element or of more than _CHUNKED_MAX_ROW) do not come here; the
+    other large outputs come one block of whole rows at a time, so
+    ``acc`` never holds more than _CHUNKED_MAX_MN elements.
 
     The products come from ``np.einsum`` over a size-1 contracted axis,
     with a's element as the first operand: NumPy pays about half
@@ -195,8 +193,7 @@ def _gemm_chunked(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
     That cannot change a sum: the sum starts at +0, and a rounded sum is
     -0 only when both addends are -0, so the running sum is never -0, and
     adding either zero to it gives the same bits.  And NaN * NaN may keep
-    b's payload; _gemm_checked redoes on the loop any block holding a
-    NaN.
+    b's payload; _gemm_rows then rebuilds the whole output on the loop.
     """
     k = x.shape[0]
     # acc.size <= _CHUNKED_MAX_MN keeps the chunk length at 16 or more,

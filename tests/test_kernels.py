@@ -358,15 +358,19 @@ class TestGemm:
     # Each side of the bound of the chunked path, in both orientations
     # ((2048, 9, 8) and (2048, 9, 9) run transposed, with rows of 2048).
     # Past MAX_MN elements, outputs in rows of up to 2048 run chunked in
-    # row blocks, and longer rows stay on the loop: conv's (8, 9, 8192),
-    # rows of 2049 in both orientations.  So do k == 1 and rows of one
-    # element.  Then the LSTM's recurrent (128, 32, 128) and dh/dW_hh
-    # (128, 128, 32) GEMMs.
+    # row blocks when k >= 4, and longer rows stay on the loop: conv's
+    # (8, 9, 8192), rows of 2049 in both orientations.  So do k == 1 and
+    # rows of one element.  Then the LSTM's recurrent (128, 32, 128) and
+    # dh/dW_hh (128, 128, 32) GEMMs.  Last, each side of the k floor of
+    # the row blocks, with the floor itself applying past MAX_MN alone
+    # ((64, 3, 256) above is chunked whole), in both orientations
+    # ((2048, 3, 9) and (2048, 4, 9) run transposed), and mlp-circles'
+    # batch-512 evaluation GEMM (512, 2, 64).
     @pytest.mark.parametrize("shape, chunked", [
         ((MAX_MN // 2048, 5, 2048), True),
         ((MAX_MN // 2048 + 1, 5, 2048), True),
         ((MAX_MN // 256, 3, 256), True),
-        ((MAX_MN // 256 + 1, 3, 256), True),
+        ((MAX_MN // 256 + 1, 3, 256), False),
         ((2048, 9, MAX_MN // 2048), True),
         ((2048, 9, MAX_MN // 2048 + 1), True),
         ((8, 9, 8192), False),
@@ -377,6 +381,12 @@ class TestGemm:
         ((2049, 9, MAX_MN // 2049 + 1), False),
         ((MAX_MN // 128 + 1, 1, 128), False),
         ((MAX_MN + 1, 3, 1), False),
+        ((MAX_MN // 256 + 1, 4, 256), True),
+        ((512, 3, 64), False),
+        ((512, 4, 64), True),
+        ((2048, 3, 9), False),
+        ((2048, 4, 9), True),
+        ((512, 2, 64), False),
     ])
     def test_switch_point_matches_per_k_loop(self, monkeypatch, shape,
                                              chunked):
@@ -420,26 +430,40 @@ class TestGemm:
             assert calls == blocks
             assert np.array_equal(got.view(np.uint32), want)
 
-    # (72, 16, 2048) runs as is and (2048, 32, 72) transposed, both as 9
-    # blocks of 8 rows of 2048; a NaN in a's row 20, or in b's column 20,
-    # lands in block 2 alone.
+    # A NaN anywhere rebuilds the whole output on the loop, so where two
+    # NaNs meet, the payload that survives is the loop's.  (100, 40, 300)
+    # runs as is and (300, 40, 100) transposed, both in blocks of 54 + 46
+    # rows of 300: 16200 elements, not a multiple of 16.  NumPy's in-place
+    # add keeps the first operand's payload in groups of 16 lanes but the
+    # second's in the last (size mod 16) elements, so rebuilding block 0
+    # alone would keep another payload in row 53's last 8 columns.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("shape", [(72, 16, 2048), (2048, 32, 72)])
-    def test_nan_rebuilds_only_its_block_on_the_loop(self, monkeypatch,
-                                                     shape):
+    @pytest.mark.parametrize("shape", [(100, 40, 300), (300, 40, 100)])
+    def test_nan_rebuilds_the_whole_output_on_the_loop(self, monkeypatch,
+                                                       shape):
         m, k, n = shape
         rng = np.random.default_rng(8)
         a = rand_bf16(rng, (m, k)).copy()
         b = rand_bf16(rng, (k, n)).copy()
+        # From step 1 on, row 53 of the output (transposed, column 299 of
+        # every row) holds one payload; at step 5 every product is a NaN
+        # with another.
+        a[53 if m < n else 299, 1] = np.uint32(0x7FC00001).view(np.float32)
+        a[:, 5] = np.uint32(0x7FC00003).view(np.float32)
+        b[5] = np.uint32(0xFFC00002).view(np.float32)
         if m < n:
-            a[20, 3] = np.nan
+            want = gemm_loop(a, b)
         else:
-            b[3, 20] = np.nan
+            # The same loop over the transposed output, a's element first.
+            acc = np.zeros((n, m), np.float32)
+            for j in range(k):
+                acc = acc + a[None, :, j] * b[j, :, None]
+            want = acc.T
         chunked, looped = [], []
 
         def spy(record, fn):
             def wrapped(x, y, acc):
-                record.append(acc.ctypes.data)
+                record.append(acc.shape)
                 fn(x, y, acc)
             return wrapped
 
@@ -447,14 +471,13 @@ class TestGemm:
                             spy(chunked, kernels._gemm_chunked))
         monkeypatch.setattr(kernels, "_gemm_loop",
                             spy(looped, kernels._gemm_loop))
-        want = gemm_loop(a, b).view(np.uint32)
         for y in (b, np.asfortranarray(b)):
             chunked.clear()
             looped.clear()
             got = _gemm(a, y)
-            assert len(chunked) == 9
-            assert looped == [chunked[2]]
-            assert np.array_equal(got.view(np.uint32), want)
+            assert chunked == [(54, 300), (46, 300)]
+            assert looped == [(100, 300)]
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_chunked_products_match_multiply(self):
