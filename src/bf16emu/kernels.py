@@ -37,14 +37,33 @@ output element still sums the same FP32 products, each with a's element
 as the first factor, in increasing k from +0, so the bits do not
 change; only the layout NumPy loops over does.  The swap copies a and
 the result once, so it is taken only where the k steps repay that
-(``_gemm``).  Convolution lays its matrices out so that its GEMMs run
-along N*Ho*Wo without a swap.
+(``_gemm``).  A convolution's forward and dx GEMMs run their output rows
+along the Ho*Wo*N output pixels of the whole batch, so they need no
+swap.
 
-Convolution gathers its windows as a strided view of NumPy's
-``sliding_window_view`` and copies them once into its window matrix
-(``_im2col``); ``_col2im`` adds windows back into a +0 image one (u, v)
-offset at a time, so each pixel sees its contributions in that fixed
-order.  Pooling tiles the image with non-overlapping windows, a reshape
+Convolution takes and returns NCHW arrays.  Inside, its forward and dx
+keep the batch axis innermost, so that their copies and adds run along
+rows that hold the whole batch: in NCHW, a row of an 8x8 or 4x4 image
+holds 8 or 4 pixels, and NumPy's fixed cost per row would dominate.
+The forward and dx GEMMs have a column per output pixel in (i, j, n)
+order.  ``_im2col``
+pads one (C, H+2p, W+2p, N) copy of x and fills the (C*k*k, Ho*Wo*N)
+window matrix with one slice copy per kernel offset (u, v).
+``_col2im`` adds the (u, v) windows back into a +0 image of that
+layout, one offset at a time, so each pixel sees its contributions in
+that fixed order, then crops it and transposes it to NCHW once.  dw's
+GEMM sums over the output pixels: its k order is the summation order,
+so it stays (n, i, j).  Its (N*Ho*Wo, k*k*C) window matrix is one
+strided view of a padded NHWC copy of x, with columns in (u, v, c)
+order, and the small (F, k, k, C) result is transposed back to
+(F, C, k, k).  Moving a GEMM's output columns changes neither the
+products an output element sums nor their k order, and ``_gemm`` routes
+by shape alone, so the bits are those of the NCHW lowering.  The
+exception is a NaN's payload, which can depend on where its element
+falls in a row.  The forward writes its (F, Ho, Wo, N) result, plus the
+bias, into the NCHW output one channel at a time.
+
+Pooling tiles the image with non-overlapping windows, a reshape
 view that drops the border the tiles miss: each pixel lies in at most
 one window, so pooling's backward writes its one share in place and
 sums nothing; avg pooling adds each tile into +0 in row-major order.
@@ -211,7 +230,7 @@ def _gemm_chunked(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# convolution (im2col based)
+# convolution (im2col based, batch axis innermost)
 # ---------------------------------------------------------------------------
 
 
@@ -224,48 +243,51 @@ def _out_extent(size: int, k: int, stride: int, pad: int) -> int:
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int,
             transposed: bool = False) -> np.ndarray:
-    """Window matrix: a row per output pixel (n, i, j), a column per
-    (c, u, v).  With ``transposed``, its transpose, copied straight from
-    the windows."""
+    """Window matrix of the NCHW image x, laid out for one of conv's GEMMs.
+
+    Without ``transposed``: (N*Ho*Wo, k*k*C), a row per output pixel
+    (n, i, j) and a column per (u, v, c), so dw's GEMM sums down the rows
+    in (n, i, j) order.  With ``transposed``: (C*k*k, Ho*Wo*N), a row per
+    (c, u, v) and a column per output pixel (i, j, n), for the forward's
+    GEMM."""
     n, c, h, w = x.shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(w, k, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    # Strided view (N, C, Ho, Wo, k, k) of the windows.
-    wins = sliding_window_view(xp, (k, k), axis=(2, 3))[
-        :, :, :ho * stride:stride, :wo * stride:stride]
+    p, s = pad, stride
     if transposed:
-        return wins.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k,
-                                                        n * ho * wo)
-    # One copy per window offset: copied whole, the view's inner loop is
-    # the k elements of (u, v).  On (128, 1, 8, 8) and (128, 8, 4, 4)
-    # with k = 3 this took 0.21 and 0.42 ms against 0.32 and 0.56 ms.
-    cols = np.empty((n, ho, wo, c, k, k), np.float32)
-    for u in range(k):
-        for v in range(k):
-            cols[..., u, v] = wins[..., u, v].transpose(0, 2, 3, 1)
-    return cols.reshape(n * ho * wo, c * k * k)
+        # One padded (C, H+2p, W+2p, N) copy, then one slice copy per
+        # (u, v), each along rows holding the whole batch.
+        xp = np.zeros((c, h + 2 * p, w + 2 * p, n), np.float32)
+        xp[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
+        cols = np.empty((c, k, k, ho, wo, n), np.float32)
+        for u in range(k):
+            for v in range(k):
+                cols[:, u, v] = xp[:, u:u + ho * s:s, v:v + wo * s:s]
+        return cols.reshape(c * k * k, ho * wo * n)
+    # One padded (N, H+2p, W+2p, C) copy, whose windows are a strided
+    # (N, Ho, Wo, k, k, C) view; the reshape copies it once.
+    xp = np.zeros((n, h + 2 * p, w + 2 * p, c), np.float32)
+    xp[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+    wins = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+    return wins.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, k * k * c)
 
 
 def _col2im(cols_t: np.ndarray, x_shape, k: int, stride: int,
             pad: int) -> np.ndarray:
     """Adjoint of the transposed _im2col: adds the windows of cols_t
-    (C*k*k, N*Ho*Wo) into a +0 image one (u, v) offset at a time, so each
-    pixel sees its contributions in that fixed order, then drops the
-    padding."""
+    (C*k*k, Ho*Wo*N) into a +0 (C, H+2p, W+2p, N) image one (u, v) offset
+    at a time, so each pixel sees its contributions in that fixed order,
+    then drops the padding and returns the NCHW image."""
     n, c, h, w = x_shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(w, k, stride, pad)
-    wins = cols_t.reshape(c, k, k, n, ho, wo)
+    wins = cols_t.reshape(c, k, k, ho, wo, n)
     p, s = pad, stride
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), np.float32)
+    xp = np.zeros((c, h + 2 * p, w + 2 * p, n), np.float32)
     for u in range(k):
         for v in range(k):
-            xp[:, :, u:u + ho * s:s, v:v + wo * s:s] += \
-                wins[:, u, v].transpose(1, 0, 2, 3)
-    if p:
-        return xp[:, :, p:p + h, p:p + w].copy()
-    return xp
+            xp[:, u:u + ho * s:s, v:v + wo * s:s] += wins[:, u, v]
+    return xp[:, p:p + h, p:p + w].transpose(3, 0, 1, 2).copy()
 
 
 def _check_conv(x: np.ndarray, w: np.ndarray) -> tuple[int, int]:
@@ -280,35 +302,48 @@ def _check_conv(x: np.ndarray, w: np.ndarray) -> tuple[int, int]:
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1,
-                   pad: int = 0) -> np.ndarray:
-    """NCHW convolution as im2col followed by gemm (bit-exactly)."""
+                   pad: int = 0, bias: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """NCHW convolution as im2col followed by gemm (bit-exactly), plus
+    ``bias[f]`` on output channel f when given."""
     f, k = _check_conv(x, w)
     n, _, h, wd = x.shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(wd, k, stride, pad)
-    # (F, C*k*k) x (C*k*k, N*Ho*Wo): rows run along N*Ho*Wo.
+    # (F, C*k*k) x (C*k*k, Ho*Wo*N): rows run along Ho*Wo*N.
     out = _gemm(w.reshape(f, -1), _im2col(x, k, stride, pad, transposed=True))
-    return out.reshape(f, n, ho, wo).transpose(1, 0, 2, 3).copy()
+    out = out.reshape(f, ho, wo, n)
+    y = np.empty((n, f, ho, wo), np.float32)
+    # One channel at a time: the whole (F*Ho*Wo, N) -> (N, F*Ho*Wo) pass
+    # with the bias add took 1.1-2x as long on the shipped shapes.
+    for fi in range(f):
+        if bias is None:
+            y[:, fi] = out[fi].transpose(2, 0, 1)
+        else:
+            np.add(out[fi].transpose(2, 0, 1), bias[fi], out=y[:, fi])
+    return y
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
                     stride: int = 1, pad: int = 0, input_grad: bool = True):
     """Returns (dx, dw), both FP32; dx is None unless ``input_grad``."""
     f, k = _check_conv(x, w)
-    n, _, h, wd = x.shape
+    n, c, h, wd = x.shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(wd, k, stride, pad)
     if dy.shape != (n, f, ho, wo):
         raise ShapeError(f"conv dy shape {dy.shape} != {(n, f, ho, wo)}")
-    # dy as (F, N*Ho*Wo): the rows of dx's GEMM run along N*Ho*Wo, and
-    # dw's long k runs down the contiguous window matrix.
-    dy_t = dy.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
     dx = None
     if input_grad:
+        # dy as (F, Ho*Wo*N), the forward's column order: the rows of
+        # dx's GEMM run along Ho*Wo*N.
+        dy_t = dy.transpose(1, 2, 3, 0).reshape(f, ho * wo * n)
         dx = _col2im(_gemm(w.reshape(f, -1).T, dy_t), x.shape, k, stride,
                      pad)
-    dw = _gemm(dy_t, _im2col(x, k, stride, pad)).reshape(w.shape)
-    return dx, dw
+    # dw's long k runs over (n, i, j), down the window matrix.
+    dw = _gemm(dy.transpose(1, 0, 2, 3).reshape(f, n * ho * wo),
+               _im2col(x, k, stride, pad))
+    return dx, dw.reshape(f, k, k, c).transpose(0, 3, 1, 2).copy()
 
 
 # ---------------------------------------------------------------------------

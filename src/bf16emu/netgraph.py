@@ -325,7 +325,7 @@ class _ConvLayer(_Layer):
     def forward(self, x, ctx, tape):
         ps = self.params[0]
         y = K.conv2d_forward(x.data, ps.shadow, self.spec.stride,
-                             self.spec.pad) + ps.bias[:, None, None]
+                             self.spec.pad, ps.bias)
         tape.cache(x.data)
         return Tensor(y)
 

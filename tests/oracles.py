@@ -1,6 +1,7 @@
 """Independent rounding and arithmetic oracles used by the tests.
 
-Two oracles, both independent of the bit-twiddling conversion path:
+Two rounding oracles, both independent of the bit-twiddling conversion
+path:
 
 * `round_exact` works on exact rationals (Python Fractions / integers)
   and is the ground truth for small structured sweeps.
@@ -8,6 +9,10 @@ Two oracles, both independent of the bit-twiddling conversion path:
   scaled significand with np.rint (ties to even) / np.trunc.  Every
   intermediate is exactly representable in float64, so it is exact too,
   and fast enough for 1e7-point sweeps.
+
+`gemm_loop` is the ordered FP32 GEMM one k step at a time, and the
+`conv2d_*_nchw` functions lower a convolution to it in NCHW, with the
+window matrices' columns in (n, i, j) order.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -129,3 +135,61 @@ def gemm_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j in range(a.shape[1]):
         acc = acc + a[:, j, None] * b[j, None, :]
     return acc
+
+
+# ---------------------------------------------------------------------------
+# convolution lowered to gemm_loop in NCHW
+# ---------------------------------------------------------------------------
+#
+# Each output element sums the same products in the same order as in
+# ``kernels.conv2d_forward``/``conv2d_backward``; only where it sits in
+# the GEMMs' outputs differs.  So the bits agree everywhere but in NaN
+# payloads, which can depend on an element's place in its row.
+
+
+def _extent(size, k, stride, pad):
+    return (size + 2 * pad - k) // stride + 1
+
+
+def im2col_nchw(x, k, stride, pad):
+    """(C*k*k, N*Ho*Wo): a row per (c, u, v), a column per (n, i, j)."""
+    n, c, h, w = x.shape
+    ho, wo = _extent(h, k, stride, pad), _extent(w, k, stride, pad)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    wins = sliding_window_view(xp, (k, k), axis=(2, 3))[
+        :, :, :ho * stride:stride, :wo * stride:stride]
+    return wins.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * ho * wo)
+
+
+def col2im_nchw(cols, x_shape, k, stride, pad):
+    """Adds the windows of cols (C*k*k, N*Ho*Wo) into a +0 image one
+    (u, v) offset at a time, then drops the padding."""
+    n, c, h, w = x_shape
+    ho, wo = _extent(h, k, stride, pad), _extent(w, k, stride, pad)
+    wins = cols.reshape(c, k, k, n, ho, wo)
+    p, s = pad, stride
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), np.float32)
+    for u in range(k):
+        for v in range(k):
+            xp[:, :, u:u + ho * s:s, v:v + wo * s:s] += \
+                wins[:, u, v].transpose(1, 0, 2, 3)
+    return xp[:, :, p:p + h, p:p + w].copy()
+
+
+def conv2d_forward_nchw(x, w, stride, pad):
+    f, _, k, _ = w.shape
+    n, _, h, wd = x.shape
+    ho, wo = _extent(h, k, stride, pad), _extent(wd, k, stride, pad)
+    out = gemm_loop(w.reshape(f, -1), im2col_nchw(x, k, stride, pad))
+    return out.reshape(f, n, ho, wo).transpose(1, 0, 2, 3).copy()
+
+
+def conv2d_backward_nchw(x, w, dy, stride, pad):
+    """(dx, dw): dx's GEMM sums over the output channels, dw's over the
+    output pixels (n, i, j) in row-major order."""
+    f, _, k, _ = w.shape
+    dy_t = dy.transpose(1, 0, 2, 3).reshape(f, -1)
+    dx = col2im_nchw(gemm_loop(w.reshape(f, -1).T, dy_t), x.shape, k,
+                     stride, pad)
+    dw = gemm_loop(dy_t, im2col_nchw(x, k, stride, pad).T)
+    return dx, dw.reshape(w.shape)

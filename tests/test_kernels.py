@@ -29,7 +29,7 @@ from bf16emu.tensor import (
     quantize_tensor,
 )
 
-from oracles import gemm_loop
+from oracles import conv2d_backward_nchw, conv2d_forward_nchw, gemm_loop
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +686,137 @@ class TestConv:
         with pytest.raises(ShapeError):
             conv2d_forward(np.zeros((1, 1, 4, 4), np.float32),
                            np.zeros((1, 1, 3, 2), np.float32))
+
+
+def with_specials(rng, a, count):
+    """a with ``count`` random elements set to +0, -0, inf, -inf and NaN
+    in turn."""
+    a = a.copy()
+    flat = a.reshape(-1)
+    idx = rng.choice(flat.size, count, replace=False)
+    flat[idx] = np.resize(np.float32([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                          count)
+    return a
+
+
+def assert_same_bits_nan_by_position(got, want):
+    """Equal NaN positions, and equal bits everywhere else: a NaN's
+    payload can depend on where its element sits in a GEMM's row."""
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.uint32)[~nan],
+                          want.view(np.uint32)[~nan])
+
+
+class TestConvLayout:
+    """conv2d_forward/backward against the NCHW lowering in oracles, on
+    bf16 values with +-0, and with inf and NaN sprinkled in."""
+
+    CASES = {
+        # The shipped conv-digits layers, at the training batch and at
+        # the evaluation batch.
+        "conv1": ((128, 1, 8, 8), 8, 1, 1),
+        "conv2": ((128, 8, 4, 4), 16, 1, 1),
+        "conv1-eval": ((512, 1, 8, 8), 8, 1, 1),
+        "conv2-eval": ((512, 8, 4, 4), 16, 1, 1),
+        # Stride 2 leaves the last row and column uncovered.
+        "stride2-pad0": ((6, 3, 8, 10), 4, 2, 0),
+        "non-square": ((5, 2, 7, 10), 3, 1, 1),
+        "n1": ((1, 3, 6, 6), 5, 2, 1),
+    }
+
+    @pytest.fixture(params=[(name, specials) for name in CASES
+                            for specials in (False, True)],
+                    ids=lambda p: p[0] + ("-specials" if p[1] else ""),
+                    scope="class")
+    def case(self, request):
+        name, specials = request.param
+        shape, f, stride, pad = self.CASES[name]
+        rng = np.random.default_rng(list(self.CASES).index(name))
+        n, c, h, w = shape
+        ho = (h + 2 * pad - 3) // stride + 1
+        wo = (w + 2 * pad - 3) // stride + 1
+
+        def signed_zeros(a):
+            idx = rng.choice(a.size, max(2, a.size // 100), replace=False)
+            a.reshape(-1)[idx] = np.resize(np.float32([0.0, -0.0]), idx.size)
+            return a
+
+        x = signed_zeros(rand_bf16(rng, shape, 4.0))
+        wt = signed_zeros(rand_bf16(rng, (f, c, 3, 3)))
+        dy = signed_zeros(rand_bf16(rng, (n, f, ho, wo)))
+        bias = rand_bf16(rng, (f,))
+        if specials:
+            x = with_specials(rng, x, 10)
+            dy = with_specials(rng, dy, 10)
+            bias[0] = -np.inf
+        return specials, x, wt, dy, bias, stride, pad
+
+    @staticmethod
+    def check_coverage(specials, a):
+        """Without specials every element is finite; with them, some
+        must be and some not, or the comparison is idle."""
+        finite = np.count_nonzero(np.isfinite(a))
+        assert (0 < finite < a.size) if specials else finite == a.size
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_forward(self, case):
+        specials, x, w, _, bias, stride, pad = case
+        want = conv2d_forward_nchw(x, w, stride, pad)
+        self.check_coverage(specials, want)
+        assert_same_bits_nan_by_position(conv2d_forward(x, w, stride, pad),
+                                         want)
+        assert_same_bits_nan_by_position(
+            conv2d_forward(x, w, stride, pad, bias),
+            want + bias[:, None, None])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_backward(self, case):
+        specials, x, w, dy, _, stride, pad = case
+        want_dx, want_dw = conv2d_backward_nchw(x, w, dy, stride, pad)
+        dx, dw = conv2d_backward(x, w, dy, stride, pad)
+        self.check_coverage(specials, want_dx)
+        if not specials:
+            # Every dw element sums over the whole batch, so any inf
+            # reaches all of them.
+            self.check_coverage(specials, want_dw)
+        assert_same_bits_nan_by_position(dx, want_dx)
+        assert_same_bits_nan_by_position(dw, want_dw)
+        _, dw_only = conv2d_backward(x, w, dy, stride, pad, input_grad=False)
+        assert np.array_equal(dw_only.view(np.uint32), dw.view(np.uint32))
+
+    def test_window_work_stays_in_im2col_and_col2im(self, monkeypatch):
+        """One forward plus backward gathers twice and scatters once, and
+        neither the gathers nor the scatter runs a GEMM, so the traced
+        kernels.im2col figure covers the layout work and no GEMM."""
+        calls = {"_im2col": 0, "_col2im": 0, "_gemm": 0}
+        inside = []
+
+        def spy(name):
+            fn = getattr(kernels, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                if name == "_gemm":
+                    assert not inside, f"_gemm called inside {inside}"
+                    return fn(*args, **kwargs)
+                inside.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(kernels, name, spy(name))
+        rng = np.random.default_rng(3)
+        x = rand_bf16(rng, (4, 2, 5, 5))
+        w = rand_bf16(rng, (3, 2, 3, 3))
+        y = conv2d_forward(x, w, 1, 1)
+        conv2d_backward(x, w, y, 1, 1)
+        assert calls == {"_im2col": 2, "_col2im": 1, "_gemm": 3}
 
 
 # ---------------------------------------------------------------------------
