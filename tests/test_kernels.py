@@ -688,14 +688,12 @@ class TestConv:
                            np.zeros((1, 1, 3, 2), np.float32))
 
 
-def with_specials(rng, a, count):
-    """a with ``count`` random elements set to +0, -0, inf, -inf and NaN
-    in turn."""
+def sprinkle(rng, a, count, values):
+    """A copy of a with ``count`` random elements set to ``values`` in
+    turn."""
     a = a.copy()
-    flat = a.reshape(-1)
-    idx = rng.choice(flat.size, count, replace=False)
-    flat[idx] = np.resize(np.float32([0.0, -0.0, np.inf, -np.inf, np.nan]),
-                          count)
+    idx = rng.choice(a.size, count, replace=False)
+    a.reshape(-1)[idx] = np.resize(np.float32(values), count)
     return a
 
 
@@ -740,17 +738,16 @@ class TestConvLayout:
         wo = (w + 2 * pad - 3) // stride + 1
 
         def signed_zeros(a):
-            idx = rng.choice(a.size, max(2, a.size // 100), replace=False)
-            a.reshape(-1)[idx] = np.resize(np.float32([0.0, -0.0]), idx.size)
-            return a
+            return sprinkle(rng, a, max(2, a.size // 100), [0.0, -0.0])
 
         x = signed_zeros(rand_bf16(rng, shape, 4.0))
         wt = signed_zeros(rand_bf16(rng, (f, c, 3, 3)))
         dy = signed_zeros(rand_bf16(rng, (n, f, ho, wo)))
         bias = rand_bf16(rng, (f,))
         if specials:
-            x = with_specials(rng, x, 10)
-            dy = with_specials(rng, dy, 10)
+            values = [0.0, -0.0, np.inf, -np.inf, np.nan]
+            x = sprinkle(rng, x, 10, values)
+            dy = sprinkle(rng, dy, 10, values)
             bias[0] = -np.inf
         return specials, x, wt, dy, bias, stride, pad
 
