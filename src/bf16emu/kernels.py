@@ -10,36 +10,42 @@ quantizes the hidden state and the gate gradients between them.
 
 Reduction order is fixed so results are bit-reproducible.  The GEMM
 never calls BLAS, whose blocked sums take another order.  It adds one k
-step at a time, in increasing k, into an FP32 accumulator, either as
-one NumPy call per step or as one ``np.add.reduce`` over the leading
-axis of a chunk of products: NumPy adds the rows of a non-innermost
-axis one after another, elementwise, so the order is the same.  The
-chunked path takes outputs of up to 16384 elements whole, and larger
-outputs whose rows hold at most 2048 elements, with k >= 4, one block
-of whole rows (at most 16384 elements) at a time, so its buffer stays
-at about 1 MB.  Longer rows, and shorter k, run faster on the loop.  A
-single output element (m*n == 1) would make the reduced axis the
-innermost loop, which NumPy sums pairwise, so it stays on the per-step
-loop.  The chunk's products come from ``np.einsum``, whose fixed cost
-per row is about half ``np.multiply``'s; they carry the same bits into
-the sum (``_gemm_chunked``).  An output holding a NaN is rebuilt whole
-on the loop, whose NaN payloads it then keeps.
+step at a time, in increasing k, into an FP32 accumulator started at +0,
+each product rounded to FP32 before its add.  One ``np.einsum`` call
+runs that order (``_gemm``).  einsum runs one nditer over the output
+axes plus the summed axis j, ordered by stride.  ``_gemm`` copies both
+operands k-major, as a^T (k, m) and b (k, n), so j has the largest
+stride in both operands and stride 0 in the output: j is the outer loop,
+in increasing order, and the inner loop runs along the output's last
+axis as ``out[i] += x * y[i]``, a multiply and an add each rounded (a
+probe built to expose a fused multiply-add reads the rounded result).
+With j as the inner loop, as on a strided view such as b = W.T, einsum
+sums j in SIMD partial sums, in another order.  ``optimize`` must stay
+False: True routes the contraction through ``tensordot`` and BLAS.
+
+Two cases run the per-k loop instead, one NumPy multiply and add per k
+step (``_gemm_loop``).  A single output element (m*n == 1) leaves j as
+einsum's only loop, so it would take the partial sums.  And an output
+holding a NaN is rebuilt on the loop, whose NaN payloads then stand:
+where two NaNs meet, the payload that survives depends on where the
+element falls in NumPy's SIMD lanes, so the rebuild keeps the loop's own
+orientation rule (below), and with it the loop's payloads.
 Without subnormals, x86's ``VDPBF16PS`` gives the same bits as this
 order run over k with each adjacent pair of steps swapped
 (``tests/test_hardware.py``).
 
-Each step is a broadcast multiply and add, and NumPy pays a fixed cost
-per row of its inner loop, which runs along the output's last axis.  A
-tall, thin output (n < m) therefore pays for m short rows at every k
-step.  ``_gemm`` then builds the transposed output instead, as
-(b^T a^T)^T on a contiguous copy of a^T, so the rows run along m.  Each
-output element still sums the same FP32 products, each with a's element
-as the first factor, in increasing k from +0, so the bits do not
-change; only the layout NumPy loops over does.  The swap copies a and
-the result once, so it is taken only where the k steps repay that
-(``_gemm``).  A convolution's forward and dx GEMMs run their output rows
-along the Ho*Wo*N output pixels of the whole batch, so they need no
-swap.
+NumPy pays a fixed cost per row of its inner loop, which runs along the
+output's last axis.  A tall, thin output (n < m) therefore pays for m
+short rows at every k step.  ``_gemm`` then builds the transposed output
+instead and copies it back once, so the rows run along m.  Each output
+element still sums the same FP32 products in increasing k from +0, so
+the bits do not change; only the layout NumPy loops over does.  The
+loop swaps where 1 < n < m and n <= 4k.  einsum swaps there too, but
+only up to n = 64: past that, copying the result back cost more than
+the row starts it saved.  Both rules are constants on the shape
+(``_gemm``).  A convolution's forward and dx GEMMs run their output
+rows along the Ho*Wo*N output pixels of the whole batch, so they need
+no swap.
 
 Convolution takes and returns NCHW arrays.  Inside, its forward and dx
 keep the batch axis innermost, so that their copies and adds run along
@@ -57,11 +63,11 @@ so it stays (n, i, j).  Its (N*Ho*Wo, k*k*C) window matrix is one
 strided view of a padded NHWC copy of x, with columns in (u, v, c)
 order, and the small (F, k, k, C) result is transposed back to
 (F, C, k, k).  Moving a GEMM's output columns changes neither the
-products an output element sums nor their k order, and ``_gemm`` routes
-by shape alone, so the bits are those of the NCHW lowering.  The
-exception is a NaN's payload, which can depend on where its element
-falls in a row.  The forward writes its (F, Ho, Wo, N) result, plus the
-bias, into the NCHW output one channel at a time.
+products an output element sums nor their k order, so the bits are
+those of the NCHW lowering.  The exception is a NaN's payload, which
+can depend on where its element falls in a row.  The forward writes its
+(F, Ho, Wo, N) result, plus the bias, into the NCHW output one channel
+at a time.
 
 Pooling tiles the image with non-overlapping windows, a reshape
 view that drops the border the tiles miss: each pixel lies in at most
@@ -104,129 +110,50 @@ __all__ = [
 ]
 
 
-# Outputs with 2 <= m*n <= _CHUNKED_MAX_MN and k > 1 take the chunked
-# path of _gemm whole.  Larger ones take it one block of whole rows at a
-# time, each of at most _CHUNKED_MAX_MN elements, when k >= _BLOCKED_MIN_K
-# and their rows hold 2 to _CHUNKED_MAX_ROW elements; the rest stay on
-# the per-k loop.  _CHUNK_ELEMS bounds the kc * m * n products of one
-# chunk, so a chunk's buffer never holds more than 17 * 16384 floats
-# (1.1 MB).  Measured against the per-k loop at k = 64 unless named, the
-# chunked path took 0.44-0.86x the loop's time on every output of up to
-# 65536 elements in rows of up to 2048, e.g. the LSTM's (128, 32, 128)
-# 0.41 -> 0.28 ms.  Rows of 3072 or more were slower chunked, 1.16-2.7x:
-# conv's (8, 9, 8192) took 0.23 ms on the loop and 0.52 ms chunked.  On
-# outputs of 32768-65536 elements the blocks took 1.13-1.21x the loop's
-# time at k = 2 (mlp-circles' (512, 2, 64) 0.053 -> 0.062 ms), 0.84-1.01x
-# at k = 3 and 0.70-0.95x from k = 4.  A buffer sized by a whole output
-# past 16384 elements raised the peak RSS of an lstm-sine or mlp-circles
-# run by 0.6-0.7 MB; the row blocks keep it at the 16384-element size.
-_CHUNKED_MAX_MN = 1 << 14
-_CHUNKED_MAX_ROW = 2048
-_BLOCKED_MIN_K = 4
-_CHUNK_ELEMS = 1 << 18
-
-
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"gemm shapes incompatible: {a.shape} x {b.shape}")
     m, k = a.shape
     n = b.shape[1]
-    # The swap saves m - n row starts per k step and costs transposed
-    # copies of a and of the result.  On shapes up to m = 8192 it paid
-    # wherever k >= n/4, apart from outputs of a few hundred elements,
-    # where it lost 1-2 us; below k = n/4 it cost up to 3.3x (k = 1,
-    # n = 512).  With n == 1 the output is one contiguous line either way.
-    if 1 < n < m and n <= 4 * k:
-        at = np.ascontiguousarray(a.T)
-        acc = _gemm_rows(at[:, None, :], b[:, :, None], (n, m))
-        return np.ascontiguousarray(acc.T)
-    # Rows of b strided in memory, as in x @ W.T, cost einsum its gain:
-    # (128, 32, 128) with b = W.T took 0.61 ms, and 0.32 ms on a copy.
-    b = np.ascontiguousarray(b)
-    return _gemm_rows(a.T[:, :, None], b[:, None, :], (m, n))
+    # Both operands k-major, so that j has the largest stride in each and
+    # is einsum's outer loop; b = W.T passed as a view makes it the inner
+    # one, summed in SIMD partial sums.
+    at = np.ascontiguousarray(a.T)
+    bk = np.ascontiguousarray(b)
+    # The loop's orientation, on which NaN payloads depend: a tall, thin
+    # output is built transposed.
+    tall = 1 < n < m and n <= 4 * k
+    # A single output element would make j einsum's only loop, which it
+    # reduces in SIMD partial sums.
+    if m * n > 1:
+        # The transposed output pays n row starts per k step, not m, and
+        # a copy of the result.  Against rows, at m = 128-2048 and
+        # n <= 4k, it took 0.31-0.99x the time up to n = 64, though
+        # 0.8-1.7x from run to run at (2048, 16-32, 64); from n = 80 it
+        # saved at most 25% and lost up to 1.7x, at m = 2048.
+        if tall and n <= 64:
+            out = np.ascontiguousarray(np.einsum("jq,jp->qp", bk, at).T)
+        else:
+            out = np.einsum("jp,jq->pq", at, bk)
+        if not np.isnan(out).any():
+            return out
+    return _gemm_loop(at, bk, tall)
 
 
-def _gemm_rows(x: np.ndarray, y: np.ndarray, shape) -> np.ndarray:
-    """Sum over j of x[j] * y[j], in increasing j, from +0.
-
-    ``x`` holds a's elements and ``y`` b's, as k-major views whose steps
-    broadcast to ``shape``, so a's element is always the first factor.
-    NumPy's inner loop runs along the last axis of ``shape``.
-    """
-    k = x.shape[0]
-    acc = np.zeros(shape, np.float32)
-    rows, width = shape
-    if acc.size >= 2 and (k > 1 and acc.size <= _CHUNKED_MAX_MN
-                          or k >= _BLOCKED_MIN_K
-                          and 2 <= width <= _CHUNKED_MAX_ROW):
-        # Blocks of whole rows, each of at most _CHUNKED_MAX_MN elements,
-        # so an output of up to that size is one block: the operand that
-        # runs along the rows is sliced, the other broadcasts.
-        step = _CHUNKED_MAX_MN // width
-        for lo in range(0, rows, step):
-            _gemm_chunked(x if x.shape[1] == 1 else x[:, lo:lo + step],
-                          y if y.shape[1] == 1 else y[:, lo:lo + step],
-                          acc[lo:lo + step])
-        # A NaN product may keep the other NaN's payload there (see
-        # _gemm_chunked), and any NaN product leaves a NaN in its output
-        # element: the whole output is then rebuilt on the loop.
-        if np.isnan(acc).any():
-            acc[...] = 0
-            _gemm_loop(x, y, acc)
+def _gemm_loop(at: np.ndarray, bk: np.ndarray, tall: bool) -> np.ndarray:
+    """a @ b one NumPy multiply and add per k step, in increasing k, from
+    +0, with a's element as the first factor; ``at`` is a^T and ``bk`` b,
+    both C-contiguous.  With ``tall`` it builds the transposed output."""
+    if tall:
+        x, y = at[:, None, :], bk[:, :, None]
     else:
-        _gemm_loop(x, y, acc)
-    return acc
-
-
-def _gemm_loop(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
-    """Adds x[j] * y[j] into ``acc`` one NumPy call per step, in
-    increasing j."""
+        x, y = at[:, :, None], bk[:, None, :]
+    acc = np.zeros(np.broadcast_shapes(x.shape[1:], y.shape[1:]), np.float32)
     tmp = np.empty_like(acc)
-    for j in range(x.shape[0]):
+    for j in range(at.shape[0]):
         np.multiply(x[j], y[j], out=tmp)
         acc += tmp
-
-
-def _gemm_chunked(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
-    """The loop of _gemm_rows, one NumPy reduction per chunk of k steps.
-
-    Row 0 of ``buf`` holds the running sum and rows 1.. the products of
-    the chunk.  Reducing the leading axis adds them to row 0 one row at a
-    time, elementwise over the contiguous m*n inner loop, so every output
-    element sees the same FP32 additions in the same order as in the
-    loop.  That holds only while the reduced axis is not NumPy's inner
-    loop: with m*n == 1 it is, and NumPy then sums it pairwise, as row 0
-    plus the pairwise sum of the rest, which changed the bits for every
-    such shape tried with k >= 7.  Those shapes, k == 1 and the large
-    outputs _gemm_rows leaves on the loop (k < _BLOCKED_MIN_K, rows of
-    one element or of more than _CHUNKED_MAX_ROW) do not come here; the
-    other large outputs come one block of whole rows at a time, so
-    ``acc`` never holds more than _CHUNKED_MAX_MN elements.
-
-    The products come from ``np.einsum`` over a size-1 contracted axis,
-    with a's element as the first operand: NumPy pays about half
-    ``np.multiply``'s fixed cost per row of the broadcast.  (The default
-    ``optimize=False`` keeps einsum in its own loops; it never calls
-    BLAS.)  Each product comes out as a*b added to +0, which differs
-    from ``np.multiply``'s in two ways.  A -0 product comes out +0.
-    That cannot change a sum: the sum starts at +0, and a rounded sum is
-    -0 only when both addends are -0, so the running sum is never -0, and
-    adding either zero to it gives the same bits.  And NaN * NaN may keep
-    b's payload; _gemm_rows then rebuilds the whole output on the loop.
-    """
-    k = x.shape[0]
-    # acc.size <= _CHUNKED_MAX_MN keeps the chunk length at 16 or more,
-    # and the buffer at or below (1 + 16) * _CHUNKED_MAX_MN floats.
-    kc = min(_CHUNK_ELEMS // acc.size, k)
-    buf = np.empty((1 + kc,) + acc.shape, np.float32)
-    # x runs along p (a column of a) or, transposed, along q (a row of
-    # a^T); either way it stays the first operand.
-    spec = "jpz,jzq->jpq" if x.shape[2] == 1 else "jzq,jpz->jpq"
-    for j in range(0, k, kc):
-        c = min(kc, k - j)
-        np.einsum(spec, x[j:j + c], y[j:j + c], out=buf[1:1 + c])
-        buf[0] = acc
-        np.add.reduce(buf[:1 + c], axis=0, out=acc)
+    return np.ascontiguousarray(acc.T) if tall else acc
 
 
 # ---------------------------------------------------------------------------

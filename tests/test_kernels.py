@@ -210,8 +210,6 @@ def rand_bf16(rng, shape, scale=1.0):
 # ---------------------------------------------------------------------------
 
 
-MAX_MN = kernels._CHUNKED_MAX_MN
-
 # Positive FP32 special values: 0, the smallest and largest subnormal,
 # the smallest normal, 1, the largest finite, inf; bf16's smallest and
 # largest subnormal and largest finite; fp16's smallest subnormal,
@@ -225,22 +223,36 @@ SPECIAL = np.uint32([
     0x7FC00001, 0x7FC00002,
 ]).view(np.float32)
 
+# Every GEMM shape (m, k, n) of the three benchmark workloads, training
+# and batch-512 evaluation.
+WORKLOAD_SHAPES = [
+    # conv-bf16
+    (4, 128, 64), (8, 9, 8192), (8, 9, 32768), (8, 8192, 9),
+    (16, 72, 2048), (16, 72, 8192), (16, 2048, 72), (72, 16, 2048),
+    (128, 4, 64), (128, 64, 4), (512, 64, 4),
+    # lstm-bf16
+    (1, 128, 32), (128, 1, 32), (128, 1, 128), (128, 32, 1),
+    (128, 32, 128), (128, 128, 1), (128, 128, 32), (512, 1, 128),
+    (512, 32, 1), (512, 32, 128),
+    # mlp-fp16
+    (2, 128, 64), (64, 128, 2), (64, 128, 64), (128, 2, 64), (128, 64, 2),
+    (128, 64, 64), (512, 2, 64), (512, 64, 2), (512, 64, 64),
+]
 
-def spy_chunked(monkeypatch):
-    """Records the shape of each accumulator _gemm_chunked receives, and
-    checks that it and the chunk buffer stay within their bounds."""
-    calls = []
-    chunked_gemm = kernels._gemm_chunked
 
-    def spy(x, y, acc):
-        assert acc.size <= MAX_MN
-        kc = min(kernels._CHUNK_ELEMS // acc.size, x.shape[0])
-        assert (1 + kc) * acc.size <= 17 * MAX_MN
-        calls.append(acc.shape)
-        chunked_gemm(x, y, acc)
+def spread_fp32(rng, shape):
+    """fp32 values with exponents spread over 2^-20..2^20, so that a sum
+    taken in another order rounds differently."""
+    return (rng.standard_normal(shape)
+            * 2.0 ** rng.integers(-20, 21, shape)).astype(np.float32)
 
-    monkeypatch.setattr(kernels, "_gemm_chunked", spy)
-    return calls
+
+def layouts(x):
+    """x as a C array, a Fortran array, the .T view of a C array (the
+    layout of W.T and dy.T in the dense and LSTM layers) and a view with
+    negative strides on both axes."""
+    return [x, np.asfortranarray(x), np.ascontiguousarray(x.T).T,
+            x[::-1, ::-1].copy()[::-1, ::-1]]
 
 
 class TestGemm:
@@ -262,9 +274,8 @@ class TestGemm:
         s = quantize_tensor(Tensor(np.float32([1048577.0])), Precision.BF16)
         assert s.data[0] == 1048576.0
 
-    # m*n == 1 stays on the per-k loop, since reducing the k axis in one
-    # NumPy call would sum it pairwise; (129, 3, 128) is above the switch
-    # point of the chunked path.
+    # m*n == 1 stays on the per-k loop, since einsum would reduce the k
+    # axis in SIMD partial sums.
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (4, 7, 4),
                                        (2, 8, 3), (1, 7, 1), (1, 8, 1),
                                        (1, 128, 1), (1, 1000, 1),
@@ -278,10 +289,8 @@ class TestGemm:
         want = gemm_oracle(a, b)
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
-    @pytest.mark.parametrize("chunks, rest", [(3, 17), (2, 33)])
-    def test_partial_last_chunk_matches_per_k_loop(self, chunks, rest):
-        # Several whole chunks and a partial one.
-        k = chunks * (kernels._CHUNK_ELEMS // (64 * 64)) + rest
+    @pytest.mark.parametrize("k", [161, 209])
+    def test_long_k_matches_per_k_loop(self, k):
         rng = np.random.default_rng(k)
         a = rng.standard_normal((64, k)).astype(np.float32)
         b = rng.standard_normal((k, 64)).astype(np.float32)
@@ -299,11 +308,25 @@ class TestGemm:
         got = _gemm(a, b)
         assert np.array_equal(got.view(np.uint32), np.zeros((m, n), np.uint32))
 
-    # Tall outputs (n < m) with n > 1 and k >= n/4 run transposed (see
-    # kernels._gemm): (8192, 9, 8) on the per-k loop, (128, 128, 32) and
-    # (64, 72, 16) on the chunked path; n == 1 and (512, 1, 128) stay on
-    # rows.  The result must come back C-contiguous, since reductions
-    # downstream follow the layout.
+    # -(1 + 2^-11) + (1 + 2^-12)^2: the product rounds to 1 + 2^-11, so
+    # the sum is 0; a fused multiply-add would keep 2^-24.  (64, 2, 8)
+    # runs transposed and (1, 2, 1) on the loop.
+    @pytest.mark.parametrize("shape", [(1, 2, 1), (8, 2, 64), (64, 2, 8)])
+    def test_products_are_rounded_before_the_add(self, shape):
+        m, _, n = shape
+        a = np.empty((m, 2), np.float32)
+        a[:, 0] = -(1 + 2.0 ** -11)
+        a[:, 1] = 1 + 2.0 ** -12
+        b = np.empty((2, n), np.float32)
+        b[0] = 1
+        b[1] = 1 + 2.0 ** -12
+        got = _gemm(a, b)
+        assert np.array_equal(got.view(np.uint32), np.zeros((m, n), np.uint32))
+
+    # Tall outputs (n < m) with 1 < n <= 64 and k >= n/4 run transposed
+    # (see kernels._gemm): (8192, 9, 8), (128, 128, 32) and (64, 72, 16);
+    # n == 1 and (512, 1, 128) stay on rows.  The result must come back
+    # C-contiguous, since reductions downstream follow the layout.
     @pytest.mark.parametrize("shape", [(8192, 9, 8), (128, 128, 32),
                                        (128, 128, 1), (512, 1, 128),
                                        (64, 72, 16)])
@@ -317,6 +340,25 @@ class TestGemm:
             assert got.flags.c_contiguous
             want = gemm_loop(a, b)
             assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    # Every layout of each operand against every layout of the other.
+    # einsum's loop order follows the operands' strides, so only the
+    # k-major copies in _gemm keep k the outer loop.
+    @pytest.mark.parametrize("kind", ["fp32", "bf16"])
+    @pytest.mark.parametrize("shape", WORKLOAD_SHAPES,
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_layouts_match_per_k_loop(self, shape, kind):
+        m, k, n = shape
+        rng = np.random.default_rng(m * k + n)
+        make = spread_fp32 if kind == "fp32" else rand_bf16
+        a = make(rng, (m, k))
+        b = make(rng, (k, n))
+        want = gemm_loop(a, b).view(np.uint32)
+        for x in layouts(a):
+            for y in layouts(b):
+                got = _gemm(x, y)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got.view(np.uint32), want)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_inf_and_nan_propagate_like_scalar_oracle(self):
@@ -355,92 +397,107 @@ class TestGemm:
         assert got[1, 1] == 0x7FC00001
         assert np.array_equal(got, gemm_loop(a, b).view(np.uint32))
 
-    # Each side of the bound of the chunked path, in both orientations
-    # ((2048, 9, 8) and (2048, 9, 9) run transposed, with rows of 2048).
-    # Past MAX_MN elements, outputs in rows of up to 2048 run chunked in
-    # row blocks when k >= 4, and longer rows stay on the loop: conv's
-    # (8, 9, 8192), rows of 2049 in both orientations.  So do k == 1 and
-    # rows of one element.  Then the LSTM's recurrent (128, 32, 128) and
-    # dh/dW_hh (128, 128, 32) GEMMs.  Last, each side of the k floor of
-    # the row blocks, with the floor itself applying past MAX_MN alone
-    # ((64, 3, 256) above is chunked whole), in both orientations
-    # ((2048, 3, 9) and (2048, 4, 9) run transposed), and mlp-circles'
-    # batch-512 evaluation GEMM (512, 2, 64).
-    @pytest.mark.parametrize("shape, chunked", [
-        ((MAX_MN // 2048, 5, 2048), True),
-        ((MAX_MN // 2048 + 1, 5, 2048), True),
-        ((MAX_MN // 256, 3, 256), True),
-        ((MAX_MN // 256 + 1, 3, 256), False),
-        ((2048, 9, MAX_MN // 2048), True),
-        ((2048, 9, MAX_MN // 2048 + 1), True),
+    # Rows of 2048 and 2049 elements and outputs on each side of 16384
+    # elements, at k from 1 to 9, in both orientations; then the LSTM's
+    # recurrent (128, 32, 128) and dh/dW_hh (128, 128, 32) GEMMs.  Each
+    # runs with b as given and as W.T, the layout of the dense and LSTM
+    # layers.  ``bf16`` picks bf16 inputs, or else fp32 inputs spread
+    # over 2^-20..2^20, so that each kind meets both row lengths and both
+    # sides of 16384.
+    @pytest.mark.parametrize("shape, bf16", [
+        ((8, 5, 2048), True),
+        ((9, 5, 2048), True),
+        ((64, 3, 256), True),
+        ((65, 3, 256), False),
+        ((2048, 9, 8), True),
+        ((2048, 9, 9), True),
         ((8, 9, 8192), False),
         ((128, 32, 128), True),
         ((128, 128, 32), True),
-        ((MAX_MN // 2049, 5, 2049), True),
-        ((MAX_MN // 2049 + 1, 5, 2049), False),
-        ((2049, 9, MAX_MN // 2049 + 1), False),
-        ((MAX_MN // 128 + 1, 1, 128), False),
-        ((MAX_MN + 1, 3, 1), False),
-        ((MAX_MN // 256 + 1, 4, 256), True),
+        ((7, 5, 2049), True),
+        ((8, 5, 2049), False),
+        ((2049, 9, 8), False),
+        ((129, 1, 128), False),
+        ((16385, 3, 1), False),
+        ((65, 4, 256), True),
         ((512, 3, 64), False),
         ((512, 4, 64), True),
         ((2048, 3, 9), False),
         ((2048, 4, 9), True),
         ((512, 2, 64), False),
     ])
-    def test_switch_point_matches_per_k_loop(self, monkeypatch, shape,
-                                             chunked):
-        calls = spy_chunked(monkeypatch)
+    def test_switch_point_matches_per_k_loop(self, shape, bf16):
         m, k, n = shape
         rng = np.random.default_rng(m + k + n)
-        a = rand_bf16(rng, (m, k))
-        b = rand_bf16(rng, (k, n))
+        make = rand_bf16 if bf16 else spread_fp32
+        a = make(rng, (m, k))
+        b = make(rng, (k, n))
         want = gemm_loop(a, b).view(np.uint32)
-        # b also as W.T, the layout of the dense and LSTM layers.
         for y in (b, np.asfortranarray(b)):
-            calls.clear()
             got = _gemm(a, y)
-            assert bool(calls) == chunked
             assert np.array_equal(got.view(np.uint32), want)
 
-    # Outputs past MAX_MN run chunked one block of whole rows at a time:
-    # (100, 7, 300) in blocks of 54 + 46 rows, and (300, 80, 100), its
-    # transposed twin; the LSTM's batch-512 evaluation GEMM (512, 32, 128)
-    # (transposed); conv2's (16, 72, 2048) forward and (72, 16, 2048)
-    # weight gradient.
+    # Each side of each bound of einsum's transposed build (n < m,
+    # n <= 4k, n <= 64, n > 1), and of the single output element, which
+    # runs on the loop: a partial-sum reduction of (1, 4096, 1) changes
+    # its bits.
+    @pytest.mark.parametrize("shape", [
+        (65, 16, 64), (64, 16, 64), (512, 16, 64), (512, 15, 64),
+        (512, 32, 64), (512, 32, 65), (512, 32, 2), (512, 32, 1),
+        (1, 4096, 1), (1, 4096, 2), (2, 4096, 1),
+    ], ids=lambda s: "x".join(map(str, s)))
+    def test_swap_bounds_match_per_k_loop(self, shape):
+        m, k, n = shape
+        rng = np.random.default_rng(m * k + n)
+        a = spread_fp32(rng, (m, k))
+        b = spread_fp32(rng, (k, n))
+        got = _gemm(a, b)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint32),
+                              gemm_loop(a, b).view(np.uint32))
+
+    # The per-k loop builds each of these outputs as ``rows`` rows of
+    # ``width`` elements: (100, 7, 300) as it is and (300, 80, 100), its
+    # transposed twin, transposed; the LSTM's batch-512 evaluation GEMM
+    # (512, 32, 128) transposed; conv2's (16, 72, 2048) forward and
+    # (72, 16, 2048) weight gradient as they are.  Their sums match the
+    # loop, and a NaN in the output rebuilds it on the per-k loop in that
+    # layout (``kernels._gemm_loop``), whose NaN payloads then stand.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("shape, rows, width", [
         ((100, 7, 300), 100, 300), ((300, 80, 100), 100, 300),
         ((512, 32, 128), 128, 512), ((16, 72, 2048), 16, 2048),
         ((72, 16, 2048), 72, 2048),
     ])
-    def test_row_blocks_match_per_k_loop(self, monkeypatch, shape, rows,
-                                         width):
-        calls = spy_chunked(monkeypatch)
+    def test_row_blocks_match_per_k_loop(self, shape, rows, width):
         m, k, n = shape
         rng = np.random.default_rng(m * k + n)
-        a = rand_bf16(rng, (m, k))
-        b = rand_bf16(rng, (k, n))
-        want = gemm_loop(a, b).view(np.uint32)
-        step = MAX_MN // width
-        blocks = [(min(step, rows - lo), width)
-                  for lo in range(0, rows, step)]
-        for y in (b, np.asfortranarray(b)):
-            calls.clear()
-            got = _gemm(a, y)
-            assert calls == blocks
-            assert np.array_equal(got.view(np.uint32), want)
+        a = spread_fp32(rng, (m, k))
+        b = spread_fp32(rng, (k, n))
+        for nans in (False, True):
+            if nans:
+                # A payload in the last row of a from step 1 on, then at
+                # step 2 a NaN in every product, with two other payloads.
+                a[m - 1, 1] = np.uint32(0x7FC00001).view(np.float32)
+                a[:, 2] = np.uint32(0x7FC00003).view(np.float32)
+                b[2] = np.uint32(0xFFC00002).view(np.float32)
+                want = kernels._gemm_loop(np.ascontiguousarray(a.T), b,
+                                          tall=rows != m)
+            else:
+                want = gemm_loop(a, b)
+            want = want.view(np.uint32)
+            for y in (b, np.asfortranarray(b)):
+                got = _gemm(a, y)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got.view(np.uint32), want)
 
     # A NaN anywhere rebuilds the whole output on the loop, so where two
     # NaNs meet, the payload that survives is the loop's.  (100, 40, 300)
-    # runs as is and (300, 40, 100) transposed, both in blocks of 54 + 46
-    # rows of 300: 16200 elements, not a multiple of 16.  NumPy's in-place
-    # add keeps the first operand's payload in groups of 16 lanes but the
-    # second's in the last (size mod 16) elements, so rebuilding block 0
-    # alone would keep another payload in row 53's last 8 columns.
+    # runs as it is and (300, 40, 100) transposed on the loop, although
+    # einsum builds it as it is (n > 64).
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("shape", [(100, 40, 300), (300, 40, 100)])
-    def test_nan_rebuilds_the_whole_output_on_the_loop(self, monkeypatch,
-                                                       shape):
+    def test_nan_rebuilds_the_whole_output_on_the_loop(self, shape):
         m, k, n = shape
         rng = np.random.default_rng(8)
         a = rand_bf16(rng, (m, k)).copy()
@@ -459,59 +516,43 @@ class TestGemm:
             for j in range(k):
                 acc = acc + a[None, :, j] * b[j, :, None]
             want = acc.T
-        chunked, looped = [], []
-
-        def spy(record, fn):
-            def wrapped(x, y, acc):
-                record.append(acc.shape)
-                fn(x, y, acc)
-            return wrapped
-
-        monkeypatch.setattr(kernels, "_gemm_chunked",
-                            spy(chunked, kernels._gemm_chunked))
-        monkeypatch.setattr(kernels, "_gemm_loop",
-                            spy(looped, kernels._gemm_loop))
         for y in (b, np.asfortranarray(b)):
-            chunked.clear()
-            looped.clear()
             got = _gemm(a, y)
-            assert chunked == [(54, 300), (46, 300)]
-            assert looped == [(100, 300)]
+            assert got.flags.c_contiguous
             assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_chunked_products_match_multiply(self):
-        # Every pair of SPECIAL and its negation, as one chunked step added
-        # to +0, in both orientations, against np.multiply: the same bits, except that a
-        # -0 product comes out +0 and NaN * NaN may keep either payload.
+    def test_einsum_products_match_multiply(self):
+        # Every pair of SPECIAL and its negation, as one k step of _gemm's
+        # einsum in both of its orientations, against np.multiply: the
+        # same bits, except that a -0 product comes out +0 (einsum adds
+        # it to +0) and NaN * NaN may keep either payload (_gemm then
+        # rebuilds the output on the loop).
         v = np.concatenate([SPECIAL, -SPECIAL])
-        a = v[:, None]
-        b = v[None, :]
-        want = np.multiply(a, b)
-        x = a.T[:, :, None]
-        y = b[:, None, :]
-        rows = np.zeros(want.shape, np.float32)
-        kernels._gemm_chunked(x, y, rows)
-        at = np.ascontiguousarray(a.T)
-        cols = np.zeros(want.shape[::-1], np.float32)
-        kernels._gemm_chunked(at[:, None, :], b[:, :, None], cols)
-        both_nan = np.isnan(a) & np.isnan(b)
+        want = np.multiply(v[:, None], v[None, :])
+        at = v[None, :]
+        bk = v[None, :]
+        rows = np.einsum("jp,jq->pq", at, bk)
+        cols = np.einsum("jq,jp->qp", bk, at).T
+        both_nan = np.isnan(v[:, None]) & np.isnan(v[None, :])
         want_bits = np.where(want == 0, np.float32(0), want).view(np.uint32)
         nan_bits = {int(u) | 0x00400000 for u in v[np.isnan(v)].view(np.uint32)}
-        for got in (rows, cols.T):
+        for got in (rows, cols):
             bits = got.view(np.uint32)
             assert np.array_equal(bits[~both_nan], want_bits[~both_nan])
             assert {int(u) for u in bits[both_nan]} <= nan_bits
         # The set must reach every case it names.
         assert (want.view(np.uint32) == 0x80000000).any()
         assert ((want != 0) & (np.abs(want) < np.float32(2.0 ** -126))).any()
-        assert (np.isinf(a) & (b == 0) & np.isnan(want)).any()
+        assert (np.isinf(v[:, None]) & (v[None, :] == 0)
+                & np.isnan(want)).any()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("shape", [(4, 9, 5), (12, 9, 4)])
     @pytest.mark.parametrize("case", ["zeros", "nan_a", "nan_both",
                                       "inf_times_zero"])
     def test_special_operands_on_chunked_path(self, shape, case):
+        # The einsum path, and with a NaN its rebuild on the loop.
         # (12, 9, 4) runs transposed.  Output (0, 0): +0, -0, then 1 and
         # -1 that cancel to +0, then -0 products onto that +0.  Row 1:
         # products that underflow to -0 and to a negative subnormal.  Then
@@ -545,13 +586,8 @@ class TestGemm:
         rng = np.random.default_rng(7)
         for m in range(1, 7):
             for n in range(1, 7):
-                ks = [1, 2, 7, 8, 9, 127, 128, 129]
-                if m * n > 1:
-                    # One either side of the chunk length, by the
-                    # kernel's own rule; m*n == 1 never takes that path.
-                    chunk = kernels._CHUNK_ELEMS // (m * n)
-                    ks += [chunk - 1, chunk, chunk + 1]
-                for k in ks:
+                for k in [1, 2, 7, 8, 9, 127, 128, 129, 4095, 4096, 4097,
+                          65537]:
                     a = rng.standard_normal((m, k)).astype(np.float32)
                     b = rng.standard_normal((k, n)).astype(np.float32)
                     if inputs == "bf16":
