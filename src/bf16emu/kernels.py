@@ -47,32 +47,31 @@ the row starts it saved.  Both rules are constants on the shape
 rows along the Ho*Wo*N output pixels of the whole batch, so they need
 no swap.
 
-Convolution takes and returns NCHW arrays.  Inside, its forward and dx
-keep the batch axis innermost, so that their copies and adds run along
-rows that hold the whole batch: in NCHW, a row of an 8x8 or 4x4 image
-holds 8 or 4 pixels, and NumPy's fixed cost per row would dominate.
-The forward and dx GEMMs have a column per output pixel in (i, j, n)
-order.  ``_im2col``
-pads one (C, H+2p, W+2p, N) copy of x and fills the (C*k*k, Ho*Wo*N)
-window matrix with one slice copy per kernel offset (u, v).
-``_col2im`` adds the (u, v) windows back into a +0 image of that
-layout, one offset at a time, so each pixel sees its contributions in
-that fixed order, then crops it and transposes it to NCHW once.  dw's
-GEMM sums over the output pixels: its k order is the summation order,
-so it stays (n, i, j).  Its (N*Ho*Wo, k*k*C) window matrix is one
-strided view of a padded NHWC copy of x, with columns in (u, v, c)
-order, and the small (F, k, k, C) result is transposed back to
-(F, C, k, k).  Moving a GEMM's output columns changes neither the
-products an output element sums nor their k order, so the bits are
-those of the NCHW lowering.  The exception is a NaN's payload, which
-can depend on where its element falls in a row.  The forward writes its
-(F, Ho, Wo, N) result, plus the bias, into the NCHW output one channel
-at a time.
+Convolution and pooling take and return batch-last (C, H, W, N) arrays;
+the network converts NCHW at its boundary.  So their copies, adds and
+selections run along rows that hold the whole batch: in NCHW, a row of
+an 8x8 or 4x4 image holds 8 or 4 pixels, and NumPy's fixed cost per row
+would dominate.  The forward and dx GEMMs have a column per output pixel
+in (i, j, n) order.  ``_im2col`` fills the (C*k*k, Ho*Wo*N) window
+matrix with one slice copy per kernel offset (u, v), from x or from one
+zero-padded copy, and the forward's (F, Ho*Wo*N) result is its output
+as it stands, plus the bias.  ``_col2im`` adds the (u, v) windows back
+into a +0 (C, H+2p, W+2p, N) image one offset at a time, so each pixel
+sees its contributions in that fixed order, then crops it.  dw's GEMM
+sums over the output pixels: its k order is the summation order, so it
+stays (n, i, j), the order of an NCHW lowering.  Its k-major operands
+are one (N*Ho*Wo, F) copy of dy and one strided (N*Ho*Wo, k*k*C) view
+of a padded NHWC copy of x, with columns in (u, v, c) order; the small
+(F, k, k, C) result is transposed back to (F, C, k, k).  Moving a GEMM's
+output columns changes neither the products an output element sums nor
+their k order, so the bits are those of the NCHW lowering, except a
+NaN's payload, which can depend on where its element falls in a row.
 
-Pooling tiles the image with non-overlapping windows, a reshape
-view that drops the border the tiles miss: each pixel lies in at most
-one window, so pooling's backward writes its one share in place and
-sums nothing; avg pooling adds each tile into +0 in row-major order.
+Pooling tiles the image with non-overlapping windows: pixel (u, v) of
+every tile is one strided view ``x[:, u::k, v::k]``, cut to the tiles,
+so the border they miss is dropped.  Each pixel lies in at most one
+window, so pooling's backward writes its one share in place and sums
+nothing; avg pooling adds each tile into +0 in row-major order.
 It does not go through ``_im2col``/``_col2im``, so a trace that wraps
 those names times convolution alone.  ``conv2d_backward`` skips dx, its
 GEMM and ``_col2im``, for a caller that has no use for it.
@@ -157,7 +156,7 @@ def _gemm_loop(at: np.ndarray, bk: np.ndarray, tall: bool) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# convolution (im2col based, batch axis innermost)
+# convolution (im2col based, batch-last)
 # ---------------------------------------------------------------------------
 
 
@@ -170,22 +169,25 @@ def _out_extent(size: int, k: int, stride: int, pad: int) -> int:
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int,
             transposed: bool = False) -> np.ndarray:
-    """Window matrix of the NCHW image x, laid out for one of conv's GEMMs.
+    """Window matrix of the batch-last (C, H, W, N) image x, laid out for
+    one of conv's GEMMs.
 
     Without ``transposed``: (N*Ho*Wo, k*k*C), a row per output pixel
     (n, i, j) and a column per (u, v, c), so dw's GEMM sums down the rows
     in (n, i, j) order.  With ``transposed``: (C*k*k, Ho*Wo*N), a row per
     (c, u, v) and a column per output pixel (i, j, n), for the forward's
     GEMM."""
-    n, c, h, w = x.shape
+    c, h, w, n = x.shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(w, k, stride, pad)
     p, s = pad, stride
     if transposed:
-        # One padded (C, H+2p, W+2p, N) copy, then one slice copy per
-        # (u, v), each along rows holding the whole batch.
-        xp = np.zeros((c, h + 2 * p, w + 2 * p, n), np.float32)
-        xp[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
+        # One slice copy per (u, v), each along rows holding the whole
+        # batch, from x itself or from one padded copy.
+        xp = x
+        if p:
+            xp = np.zeros((c, h + 2 * p, w + 2 * p, n), np.float32)
+            xp[:, p:p + h, p:p + w] = x
         cols = np.empty((c, k, k, ho, wo, n), np.float32)
         for u in range(k):
             for v in range(k):
@@ -194,7 +196,7 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int,
     # One padded (N, H+2p, W+2p, C) copy, whose windows are a strided
     # (N, Ho, Wo, k, k, C) view; the reshape copies it once.
     xp = np.zeros((n, h + 2 * p, w + 2 * p, c), np.float32)
-    xp[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+    xp[:, p:p + h, p:p + w] = x.transpose(3, 1, 2, 0)
     wins = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
     return wins.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, k * k * c)
 
@@ -204,8 +206,8 @@ def _col2im(cols_t: np.ndarray, x_shape, k: int, stride: int,
     """Adjoint of the transposed _im2col: adds the windows of cols_t
     (C*k*k, Ho*Wo*N) into a +0 (C, H+2p, W+2p, N) image one (u, v) offset
     at a time, so each pixel sees its contributions in that fixed order,
-    then drops the padding and returns the NCHW image."""
-    n, c, h, w = x_shape
+    then drops the padding."""
+    c, h, w, n = x_shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(w, k, stride, pad)
     wins = cols_t.reshape(c, k, k, ho, wo, n)
@@ -214,15 +216,15 @@ def _col2im(cols_t: np.ndarray, x_shape, k: int, stride: int,
     for u in range(k):
         for v in range(k):
             xp[:, u:u + ho * s:s, v:v + wo * s:s] += wins[:, u, v]
-    return xp[:, p:p + h, p:p + w].transpose(3, 0, 1, 2).copy()
+    return np.ascontiguousarray(xp[:, p:p + h, p:p + w])
 
 
 def _check_conv(x: np.ndarray, w: np.ndarray) -> tuple[int, int]:
     """Returns (output channels, kernel size) of a square-kernel conv."""
     if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError("conv expects NCHW input and FCkhkw weights")
+        raise ShapeError("conv expects CHWN input and FCkhkw weights")
     f, c, kh, kw = w.shape
-    if kh != kw or x.shape[1] != c:
+    if kh != kw or x.shape[0] != c:
         raise ShapeError(f"conv weights {w.shape} do not fit input "
                          f"{x.shape}: need C to match and a square kernel")
     return f, kh
@@ -231,45 +233,42 @@ def _check_conv(x: np.ndarray, w: np.ndarray) -> tuple[int, int]:
 def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1,
                    pad: int = 0, bias: np.ndarray | None = None
                    ) -> np.ndarray:
-    """NCHW convolution as im2col followed by gemm (bit-exactly), plus
-    ``bias[f]`` on output channel f when given."""
+    """Batch-last (C, H, W, N) convolution as im2col followed by gemm
+    (bit-exactly), plus ``bias[f]`` on output channel f when given;
+    returns (F, Ho, Wo, N)."""
     f, k = _check_conv(x, w)
-    n, _, h, wd = x.shape
+    _, h, wd, n = x.shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(wd, k, stride, pad)
     # (F, C*k*k) x (C*k*k, Ho*Wo*N): rows run along Ho*Wo*N.
     out = _gemm(w.reshape(f, -1), _im2col(x, k, stride, pad, transposed=True))
     out = out.reshape(f, ho, wo, n)
-    y = np.empty((n, f, ho, wo), np.float32)
-    # One channel at a time: the whole (F*Ho*Wo, N) -> (N, F*Ho*Wo) pass
-    # with the bias add took 1.1-2x as long on the shipped shapes.
-    for fi in range(f):
-        if bias is None:
-            y[:, fi] = out[fi].transpose(2, 0, 1)
-        else:
-            np.add(out[fi].transpose(2, 0, 1), bias[fi], out=y[:, fi])
-    return y
+    if bias is not None:
+        out += bias[:, None, None, None]
+    return out
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
                     stride: int = 1, pad: int = 0, input_grad: bool = True):
-    """Returns (dx, dw), both FP32; dx is None unless ``input_grad``."""
+    """Returns (dx, dw), both FP32, for batch-last x and dy; dx is None
+    unless ``input_grad``."""
     f, k = _check_conv(x, w)
-    n, c, h, wd = x.shape
+    c, h, wd, n = x.shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(wd, k, stride, pad)
-    if dy.shape != (n, f, ho, wo):
-        raise ShapeError(f"conv dy shape {dy.shape} != {(n, f, ho, wo)}")
+    if dy.shape != (f, ho, wo, n):
+        raise ShapeError(f"conv dy shape {dy.shape} != {(f, ho, wo, n)}")
     dx = None
     if input_grad:
-        # dy as (F, Ho*Wo*N), the forward's column order: the rows of
-        # dx's GEMM run along Ho*Wo*N.
-        dy_t = dy.transpose(1, 2, 3, 0).reshape(f, ho * wo * n)
-        dx = _col2im(_gemm(w.reshape(f, -1).T, dy_t), x.shape, k, stride,
-                     pad)
-    # dw's long k runs over (n, i, j), down the window matrix.
-    dw = _gemm(dy.transpose(1, 0, 2, 3).reshape(f, n * ho * wo),
-               _im2col(x, k, stride, pad))
+        # dy is (F, Ho*Wo*N) as it stands: the rows of dx's GEMM run
+        # along Ho*Wo*N.
+        dx = _col2im(_gemm(w.reshape(f, -1).T, dy.reshape(f, -1)), x.shape,
+                     k, stride, pad)
+    # dw's long k runs over (n, i, j), down the window matrix; its
+    # k-major operand is one (N*Ho*Wo, F) copy of dy, which _gemm takes
+    # as it is.
+    dy_k = np.ascontiguousarray(dy.transpose(3, 1, 2, 0)).reshape(-1, f)
+    dw = _gemm(dy_k.T, _im2col(x, k, stride, pad))
     return dx, dw.reshape(f, k, k, c).transpose(0, 3, 1, 2).copy()
 
 
@@ -356,36 +355,33 @@ class PoolKind(Enum):
     AVG = "avg"
 
 
-def _tiles(a: np.ndarray, k: int) -> np.ndarray:
-    """View (N, C, Ho, k, Wo, k) of the k x k tiles of a, which drops the
-    border the tiles miss."""
-    n, c, h, w = a.shape
-    ho = _out_extent(h, k, k, 0)
-    wo = _out_extent(w, k, k, 0)
-    return a[:, :, :ho * k, :wo * k].reshape(n, c, ho, k, wo, k)
+def _slots(a: np.ndarray, k: int) -> list[np.ndarray]:
+    """The k*k strided (C, Ho, Wo, N) views of the batch-last image a:
+    slot u*k + v holds pixel (u, v) of every k x k tile, so the slots run
+    over each tile in row-major order.  The border the tiles miss is in
+    none of them."""
+    _, h, w, _ = a.shape
+    ho = _out_extent(h, k, k, 0) * k
+    wo = _out_extent(w, k, k, 0) * k
+    return [a[:, u:ho:k, v:wo:k] for u in range(k) for v in range(k)]
 
 
 def pool_forward(kind: PoolKind, x: np.ndarray, window: int):
-    """Returns (y, cache).  Max pooling picks, bit for bit, the element
-    np.argmax would: the first row-major winner, or the first NaN.  Avg
-    pooling adds each tile's elements into +0 in row-major order, then
-    divides by window**2."""
+    """Returns (y, cache) for batch-last x.  Max pooling picks, bit for
+    bit, the element np.argmax would: the first row-major winner, or the
+    first NaN.  Avg pooling adds each tile's elements into +0 in
+    row-major order, then divides by window**2."""
     k = window
-    tiles = _tiles(x, k)
+    slots = _slots(x, k)
     if kind is PoolKind.AVG:
         # One add per element of the tile: a reduction over the window
         # would not keep this order for 9 or more addends.
-        acc = tiles[:, :, :, 0, :, 0] + np.float32(0)
-        for p in range(1, k * k):
-            acc += tiles[:, :, :, p // k, :, p % k]
+        acc = slots[0] + np.float32(0)
+        for slot in slots[1:]:
+            acc += slot
         acc /= np.float32(k * k)
         return acc, (kind, x.shape, k, None)
-    # One contiguous (k * k, N, C, Ho, Wo) copy: each pass below then
-    # runs over whole slots, not over rows k elements long.
-    slots = np.ascontiguousarray(tiles.transpose(3, 5, 0, 1, 2, 4))
-    slots = slots.reshape((k * k,) + slots.shape[2:])
-    bits = slots.view(np.uint32)
-    best = bits[0].copy()
+    best = slots[0].view(np.uint32).copy()
     arg = np.zeros(best.shape, np.min_scalar_type(len(slots) - 1))
     has_nan = bool(np.isnan(x).any())
     for p in range(1, len(slots)):
@@ -395,31 +391,29 @@ def pool_forward(kind: PoolKind, x: np.ndarray, window: int):
             take |= np.isnan(slots[p]) & ~np.isnan(cur)
         # Select p's bits where it wins; the passes run in increasing p,
         # so the winner's index is the largest p taken.
-        best ^= (best ^ bits[p]) & _mask(take)
+        best ^= (best ^ slots[p].view(np.uint32)) & _mask(take)
         np.maximum(arg, take * arg.dtype.type(p), out=arg)
     return best.view(np.float32), (kind, x.shape, k, arg)
 
 
 def pool_backward(dy: np.ndarray, cache) -> np.ndarray:
-    """dx of pooling: each tile's max winner takes dy (the rest of the
-    tile +0), or every pixel of the tile takes dy / window**2; the
-    border the tiles miss is +0.  Each share is written in place as
+    """Batch-last dx of pooling: each tile's max winner takes dy (the
+    rest of the tile +0), or every pixel of the tile takes dy / window**2;
+    the border the tiles miss is +0.  Each share is written in place as
     share + 0, so a -0 share reads +0."""
     kind, x_shape, k, arg = cache
     dx = np.zeros(x_shape, np.float32)
-    tiles = _tiles(dx, k)
-    n, c, ho, _, wo, _ = tiles.shape
-    if dy.shape != (n, c, ho, wo):
-        raise ShapeError(f"pool dy shape {dy.shape} != {(n, c, ho, wo)}")
+    slots = _slots(dx, k)
+    if dy.shape != slots[0].shape:
+        raise ShapeError(f"pool dy shape {dy.shape} != {slots[0].shape}")
     if kind is PoolKind.AVG:
         share = dy / np.float32(k * k) + np.float32(0)
-        tiles[...] = share[:, :, :, None, :, None]
+        for slot in slots:
+            slot[...] = share
         return dx
     src = (dy + np.float32(0)).view(np.uint32)
-    shares = tiles.transpose(3, 5, 0, 1, 2, 4)
-    for p in range(k * k):
-        np.bitwise_and(src, _mask(arg == p),
-                       out=shares[p // k, p % k].view(np.uint32))
+    for p, slot in enumerate(slots):
+        np.bitwise_and(src, _mask(arg == p), out=slot.view(np.uint32))
     return dx
 
 

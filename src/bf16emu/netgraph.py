@@ -27,6 +27,18 @@ changes no result.  Avg pooling computes new values; they are quantized.
 back, as the quantization it skips would have, so `grad_underflow_frac`
 does not depend on the skip; Flatten's pass-through is not counted.
 
+Between the layers, 4-D activations and error gradients are batch-last
+(C, H, W, N), the layout of the conv and pool kernels, so a whole conv
+stack runs along rows that hold the batch.  `Network.forward`, `infer`
+and `backward` take and return NCHW: a 4-D input or ``dy`` is
+converted once on entry, a 4-D output or input gradient once on exit.
+Flatten maps (C, H, W, N) to (N, C*H*W) in NCHW feature order, and
+back.  Elementwise layers do not see the layout; the rest keep the
+order of an NCHW network, so every bit stays as it was.  NumPy's
+pairwise sum follows the memory layout, so the conv bias gradient and
+BatchNorm's 4-D statistics reduce NCHW copies; Dropout draws its mask
+in the NCHW shape; dw's GEMM sums in (n, i, j) order (`kernels`).
+
 `Network.infer` is the forward-only pass of evaluation.  It runs the
 layer loop of `forward` with a `Tape` that does not record: layers keep
 no backward cache, the LSTM keeps no per-step state, and of the layer
@@ -179,6 +191,12 @@ class QuantStats:
         self.nonzero = 0
 
     def record(self, before: np.ndarray, after: np.ndarray):
+        if after is before:
+            # A selected gradient: quantizing it would have zeroed nothing.
+            # (count_nonzero on the bool array is several times faster
+            # than on the floats.)
+            self.nonzero += int(np.count_nonzero(before != 0))
+            return
         nz = before != 0
         self.nonzero += int(np.count_nonzero(nz))
         self.zeroed += int(np.count_nonzero(nz & (after == 0)))
@@ -222,6 +240,16 @@ class _Ctx:
 # scale/shift are affine parameters, not GEMM weights, and its incoming
 # error grad stays FP32.
 _FP32_ROLES = {"batchnorm": ("weight", "err")}
+
+
+def _batch_last(a: np.ndarray) -> np.ndarray:
+    """(C, H, W, N) copy of a 4-D NCHW array; other arrays as they are."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)) if a.ndim == 4 else a
+
+
+def _nchw(a: np.ndarray) -> np.ndarray:
+    """NCHW copy of a 4-D batch-last array; other arrays as they are."""
+    return np.ascontiguousarray(a.transpose(3, 0, 1, 2)) if a.ndim == 4 else a
 
 
 def _quantize(t: Tensor, ctx: _Ctx, layer_class: str, role: str,
@@ -335,7 +363,9 @@ class _ConvLayer(_Layer):
                                    self.spec.stride, self.spec.pad,
                                    input_grad)
         ps.grad += dw
-        ps.bias_grad += dy.data.sum(axis=(0, 2, 3), dtype=np.float32)
+        # NumPy's pairwise sum follows the memory layout, so the bias
+        # gradient reduces an NCHW copy, in the order of an NCHW network.
+        ps.bias_grad += _nchw(dy.data).sum(axis=(0, 2, 3), dtype=np.float32)
         return None if dx is None else Tensor(dx)
 
 
@@ -349,19 +379,22 @@ class _BatchNormLayer(_Layer):
                                 np.ones(spec.channels, np.float32),
                                 np.zeros(spec.channels, np.float32))]
 
+    # The kernel reduces 4-D statistics over NCHW copies, in the order
+    # of an NCHW network.
     def forward(self, x, ctx, tape):
         ps = self.params[0]
-        y, cache = K.batchnorm_forward(x.data, ps.shadow, ps.bias,
+        y, cache = K.batchnorm_forward(_nchw(x.data), ps.shadow, ps.bias,
                                        self.spec.eps)
         tape.cache(cache)
-        return Tensor(y)
+        return Tensor(_batch_last(y))
 
     def backward(self, dy, ctx, cache, input_grad):
         ps = self.params[0]
-        dx, dgamma, dbeta = K.batchnorm_backward(dy.data, ps.shadow, cache)
+        dx, dgamma, dbeta = K.batchnorm_backward(_nchw(dy.data), ps.shadow,
+                                                 cache)
         ps.grad += dgamma
         ps.bias_grad += dbeta
-        return Tensor(dx)
+        return Tensor(_batch_last(dx))
 
 
 class _ReluLayer(_Layer):
@@ -409,9 +442,11 @@ class _DropoutLayer(_Layer):
             return x
         if ctx.rng is None:
             raise ValueError("dropout in train mode needs a step rng")
-        y, mask = K.dropout(x.data, self.spec.p, ctx.rng.child(self.index))
-        tape.cache(mask)
-        return Tensor(y)
+        # The mask is drawn in the NCHW shape, as an NCHW network draws it.
+        y, mask = K.dropout(_nchw(x.data), self.spec.p,
+                            ctx.rng.child(self.index))
+        tape.cache(_batch_last(mask))
+        return Tensor(_batch_last(y))
 
     def backward(self, dy, ctx, cache, input_grad):
         if cache is None:
@@ -502,13 +537,16 @@ class _FlattenLayer(_Layer):
     def __init__(self, index, spec: Flatten, rng: RngStream):
         super().__init__(index)
 
+    # A batch-last (C, H, W, N) input flattens in NCHW feature order.
     def forward(self, x, ctx, tape):
-        tape.cache(x.shape)
-        n = x.shape[0]
-        return Tensor(x.data.reshape(n, -1).copy(), x.tag)
+        data = _nchw(x.data) if x.data.ndim == 4 else x.data.copy()
+        tape.cache(data.shape)
+        return Tensor(data.reshape(len(data), -1), x.tag)
 
     def backward(self, dy, ctx, cache, input_grad):
-        return Tensor(dy.data.reshape(cache).copy(), dy.tag)
+        data = dy.data.reshape(cache)
+        return Tensor(_batch_last(data) if data.ndim == 4 else data.copy(),
+                      dy.tag)
 
 
 _LAYER_TYPES = {
@@ -576,7 +614,7 @@ class Network:
         return self._run(x, _Ctx(self.policy), Tape(record=False))
 
     def _run(self, x: np.ndarray, ctx: _Ctx, tape: Tape) -> np.ndarray:
-        out = Tensor(x)
+        out = Tensor(_batch_last(x))
         if self.layers:
             out = _quantize(out, ctx, self.layers[0].layer_class, "act")
         for i, layer in enumerate(self.layers):
@@ -584,7 +622,7 @@ class Network:
                             layer.layer_class, "act")
             keep = tape.record or i in self._skip_sources
             tape.outputs.append(out if keep else None)
-        return out.data
+        return _nchw(out.data)
 
     def backward(self, tape: Tape, dy: np.ndarray,
                  stats: QuantStats | None = None,
@@ -596,12 +634,12 @@ class Network:
         if tape.consumed:
             raise RuntimeError("tape already consumed by a backward pass")
         tape.consumed = True
-        if tape.outputs and dy.shape != tape.outputs[-1].shape:
+        grad = Tensor(_batch_last(dy))
+        if tape.outputs and grad.shape != tape.outputs[-1].shape:
             raise ShapeError(f"dy shape {dy.shape} != output shape "
-                             f"{tape.outputs[-1].shape}")
+                             f"{_nchw(tape.outputs[-1].data).shape}")
         ctx = _Ctx(self.policy, stats=stats)
         pending: dict[int, np.ndarray] = {}
-        grad = Tensor(dy)
         selected = False
         for i in range(len(self.layers) - 1, -1, -1):
             if i in pending:
@@ -614,7 +652,7 @@ class Network:
             if isinstance(layer, _EltwiseAddLayer):
                 src = layer.spec.source
                 pending[src] = pending.get(src, 0) + grad.data
-        return grad.data if input_grad else None
+        return _nchw(grad.data) if input_grad else None
 
 
 def build_network(specs, policy: QuantPolicy, rng: RngStream) -> Network:

@@ -76,6 +76,42 @@ def format_limits(precision: Precision) -> FormatLimits:
 # ---------------------------------------------------------------------------
 
 
+def _bf16_pattern(x, mode: RoundingMode) -> np.ndarray:
+    """The FP32 patterns (uint32) of x narrowed to BF16, shaped like x.
+
+    One uint32 array is rounded, masked and flushed in place; no uint16
+    array is made.  The NaN rule costs one reduction unless x holds a
+    NaN."""
+    f = np.ascontiguousarray(x, dtype=np.float32)
+    bits = f.view(np.uint32)
+    if mode is RoundingMode.NEAREST_EVEN:
+        # Adding 0x7FFF plus the lowest kept bit carries into bit 16
+        # exactly when the discarded half is above 0x8000, or equals it
+        # with an odd kept half.  Only NaN patterns can wrap around, and
+        # those are replaced below.
+        r = bits >> np.uint32(16)
+        r &= np.uint32(1)
+        r += np.uint32(0x7FFF)
+        r += bits
+    else:
+        r = bits.copy()
+    r &= np.uint32(0xFFFF0000)
+    # A zero exponent field with a nonzero mantissa is subnormal: flush
+    # it to the signed zero (a zero keeps its bits either way).
+    np.bitwise_and(r, np.uint32(0x80000000), out=r,
+                   where=(r & np.uint32(0x7F800000)) == 0)
+    if f.size and np.isnan(f.max()):
+        # Keep the truncated payload when nonzero; a payload that lost
+        # all its bits would decode as infinity, so canonicalize it.
+        nan = np.isnan(f)
+        kept = bits[nan] & np.uint32(0xFFFF0000)
+        lost = (kept & np.uint32(0x007F0000)) == 0
+        kept[lost] = ((kept[lost] & np.uint32(0x80000000))
+                      | np.uint32(0x7FC00000))
+        r[nan] = kept
+    return r.reshape(np.shape(x))
+
+
 def f32_to_bf16_array(
     x, mode: RoundingMode = RoundingMode.NEAREST_EVEN
 ) -> np.ndarray:
@@ -87,27 +123,9 @@ def f32_to_bf16_array(
     patterns round-trip), otherwise map to the canonical quiet NaN with
     the sign preserved; subnormal results flush to signed zero.
     """
-    f = np.ascontiguousarray(x, dtype=np.float32)
-    bits = f.view(np.uint32)
-    is_nan = np.isnan(f)
-
-    if mode is RoundingMode.NEAREST_EVEN:
-        # Adding 0x7FFF plus the lowest kept bit carries into bit 16
-        # exactly when the discarded half is above 0x8000, or equals it
-        # with an odd kept half.  Only NaN patterns can wrap around, and
-        # those are replaced below.
-        bits = bits + (np.uint32(0x7FFF)
-                       + ((bits >> np.uint32(16)) & np.uint32(1)))
-    out = (bits >> np.uint32(16)).astype(np.uint16)
-    if np.any(is_nan):
-        # Keep the truncated payload when nonzero; a payload that lost
-        # all its bits would decode as infinity, so canonicalize it.
-        kept = (f.view(np.uint32) >> np.uint32(16)).astype(np.uint16)
-        lost = (kept & np.uint16(0x007F)) == 0
-        canon = ((kept & np.uint16(0x8000)) | np.uint16(0x7FC0))
-        out = np.where(is_nan, np.where(lost, canon, kept), out)
-    sub = ((out & np.uint16(0x7F80)) == 0) & ((out & np.uint16(0x007F)) != 0)
-    return np.where(sub, out & np.uint16(0x8000), out).reshape(np.shape(x))
+    r = _bf16_pattern(x, mode)
+    r >>= np.uint32(16)
+    return r.astype(np.uint16)
 
 
 def bf16_to_f32_array(bits) -> np.ndarray:
@@ -158,7 +176,7 @@ def quantize_array(x, precision: Precision,
     idempotent.
     """
     if precision is Precision.BF16:
-        return bf16_to_f32_array(f32_to_bf16_array(x, mode))
+        return _bf16_pattern(x, mode).view(np.float32)
     if precision is Precision.FP16:
         return fp16_to_f32_array(f32_to_fp16_array(x, mode))
     return np.array(x, dtype=np.float32, order="C")

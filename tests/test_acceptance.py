@@ -24,10 +24,6 @@ from bf16emu.kernels import (
     PoolKind,
     batchnorm_backward,
     batchnorm_forward,
-    conv2d_backward,
-    conv2d_forward,
-    pool_backward,
-    pool_forward,
     relu_backward,
     relu_forward,
     softmax_cross_entropy,
@@ -44,7 +40,8 @@ from bf16emu.numerics import (
 from bf16emu.tensor import QuantPolicy, RngStream, load_tensor
 
 from oracles import BF16_FTZ, FP16, round_exact, round_vectorized
-from test_kernels import assert_grads_close, fd_grad
+from test_kernels import (assert_grads_close, conv_bwd, conv_fwd, fd_grad,
+                          pool_bwd, pool_fwd)
 from test_netgraph import TestFp32Identity
 
 RNE = RoundingMode.NEAREST_EVEN
@@ -192,12 +189,12 @@ def test_criterion_05_gradient_checks():
         x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
         w = (rng.standard_normal((2, 2, 3, 3)) * 0.5).astype(np.float32)
         dy = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
-        dx, dw = conv2d_backward(x, w, dy, pad=1)
+        dx, dw = conv_bwd(x, w, dy, pad=1)
         assert_grads_close(dx, fd_grad(
-            lambda v: float((conv2d_forward(v, w, pad=1)
+            lambda v: float((conv_fwd(v, w, pad=1)
                              .astype(np.float64) * dy).sum()), x.copy()))
         assert_grads_close(dw, fd_grad(
-            lambda v: float((conv2d_forward(x, v, pad=1)
+            lambda v: float((conv_fwd(x, v, pad=1)
                              .astype(np.float64) * dy).sum()), w.copy()))
 
         # batchnorm
@@ -230,11 +227,11 @@ def test_criterion_05_gradient_checks():
         xp = (rng.permutation(16).astype(np.float32) * 0.25).reshape(
             1, 1, 4, 4)
         dyp = rng.standard_normal((1, 1, 2, 2)).astype(np.float32)
-        _, cache = pool_forward(kind, xp, 2)
-        dxp = pool_backward(dyp, cache)
+        _, cache = pool_fwd(kind, xp, 2)
+        dxp = pool_bwd(dyp, cache)
 
         def pool_loss(v, kind=kind):
-            y, _ = pool_forward(kind, v, 2)
+            y, _ = pool_fwd(kind, v, 2)
             return float((y.astype(np.float64) * dyp).sum())
         # pooling is piecewise linear and window entries differ by
         # >= 0.25, so a large step is exact and drowns fp32 noise

@@ -175,6 +175,39 @@ def pool_oracle(kind, x, window, stride, dy):
     return y, dx
 
 
+def batch_last(a):
+    """An NCHW array in the kernels' batch-last (C, H, W, N) layout."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+def nchw(a):
+    """A batch-last (C, H, W, N) array in NCHW."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+# The conv and pool kernels on NCHW arrays, the layout of the oracles,
+# through the batch-last layout the kernels take and return.
+
+
+def conv_fwd(x, w, *args, **kwargs):
+    return nchw(conv2d_forward(batch_last(x), w, *args, **kwargs))
+
+
+def conv_bwd(x, w, dy, *args, **kwargs):
+    dx, dw = conv2d_backward(batch_last(x), w, batch_last(dy), *args,
+                             **kwargs)
+    return (None if dx is None else nchw(dx)), dw
+
+
+def pool_fwd(kind, x, window):
+    y, cache = pool_forward(kind, batch_last(x), window)
+    return nchw(y), cache
+
+
+def pool_bwd(dy, cache):
+    return nchw(pool_backward(batch_last(dy), cache))
+
+
 def fd_grad(loss_fn, x, h_rel=1e-3):
     """Central finite differences of a scalar loss over array x."""
     g = np.zeros_like(x, dtype=np.float64)
@@ -638,13 +671,13 @@ class TestConv:
     def test_one_by_one_kernel_scales(self):
         x = np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2)
         w = np.float32([2.0, 0.0, 0.0, 2.0]).reshape(2, 2, 1, 1)
-        out = conv2d_forward(x, w)
+        out = conv_fwd(x, w)
         assert np.array_equal(out, 2.0 * x)
 
     def test_all_ones(self):
         x = np.ones((1, 1, 2, 2), np.float32)
         w = np.ones((1, 1, 2, 2), np.float32)
-        out = conv2d_forward(x, w)
+        out = conv_fwd(x, w)
         assert out.shape == (1, 1, 1, 1)
         assert out[0, 0, 0, 0] == 4.0
 
@@ -653,7 +686,7 @@ class TestConv:
         rng = np.random.default_rng(stride * 10 + pad)
         x = rand_bf16(rng, (2, 3, 5, 5))
         w = rand_bf16(rng, (4, 3, 3, 3))
-        got = conv2d_forward(x, w, stride, pad)
+        got = conv_fwd(x, w, stride, pad)
         want = conv_oracle(x, w, stride, pad)
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
@@ -662,14 +695,14 @@ class TestConv:
         x = rand_bf16(rng, (1, 1, 4, 4))
         w = rand_bf16(rng, (2, 1, 3, 3))
         dy = np.zeros((1, 2, 2, 2), np.float32)
-        dx, dw = conv2d_backward(x, w, dy)
+        dx, dw = conv_bwd(x, w, dy)
         assert np.all(dx == 0) and np.all(dw == 0)
 
     def test_backward_one_by_one_analytic(self):
         x = np.float32([[[[2.0, 3.0], [4.0, 5.0]]]])
         w = np.float32([[[[1.5]]]])
         dy = np.float32([[[[1.0, 0.0], [0.0, 2.0]]]])
-        dx, dw = conv2d_backward(x, w, dy)
+        dx, dw = conv_bwd(x, w, dy)
         assert np.array_equal(dx, 1.5 * dy)
         assert dw[0, 0, 0, 0] == 2.0 * 1.0 + 5.0 * 2.0
 
@@ -680,7 +713,7 @@ class TestConv:
         w = rand_bf16(rng, (3, 2, 3, 3))
         dy = rand_bf16(rng, (2, 3, 5 if stride == 1 else 3,
                              5 if stride == 1 else 3))
-        dx, _ = conv2d_backward(x, w, dy, stride, 1)
+        dx, _ = conv_bwd(x, w, dy, stride, 1)
         want = conv_dx_oracle(x.shape, w, dy, stride, 1)
         assert np.array_equal(dx.view(np.uint32), want.view(np.uint32))
 
@@ -691,7 +724,7 @@ class TestConv:
         w = rand_bf16(rng, (3, 2, 3, 3))
         dy = rand_bf16(rng, (2, 3, 5 if stride == 1 else 3,
                              5 if stride == 1 else 3))
-        _, dw = conv2d_backward(x, w, dy, stride, 1)
+        _, dw = conv_bwd(x, w, dy, stride, 1)
         want = conv_dw_oracle(x, w.shape, dy, stride, 1)
         assert np.array_equal(dw.view(np.uint32), want.view(np.uint32))
 
@@ -702,25 +735,25 @@ class TestConv:
         dy = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
 
         def loss_x(xv):
-            y = conv2d_forward(xv, w, pad=1)
+            y = conv_fwd(xv, w, pad=1)
             return float((y.astype(np.float64) * dy).sum())
 
         def loss_w(wv):
-            y = conv2d_forward(x, wv, pad=1)
+            y = conv_fwd(x, wv, pad=1)
             return float((y.astype(np.float64) * dy).sum())
 
-        dx, dw = conv2d_backward(x, w, dy, pad=1)
+        dx, dw = conv_bwd(x, w, dy, pad=1)
         assert_grads_close(dx, fd_grad(loss_x, x.copy()))
         assert_grads_close(dw, fd_grad(loss_w, w.copy()))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            conv2d_forward(np.zeros((1, 2, 4, 4), np.float32),
+            conv_fwd(np.zeros((1, 2, 4, 4), np.float32),
                            np.zeros((1, 1, 3, 3), np.float32))
 
     def test_non_square_kernel(self):
         with pytest.raises(ShapeError):
-            conv2d_forward(np.zeros((1, 1, 4, 4), np.float32),
+            conv_fwd(np.zeros((1, 1, 4, 4), np.float32),
                            np.zeros((1, 1, 3, 2), np.float32))
 
 
@@ -746,7 +779,9 @@ def assert_same_bits_nan_by_position(got, want):
 
 class TestConvLayout:
     """conv2d_forward/backward against the NCHW lowering in oracles, on
-    bf16 values with +-0, and with inf and NaN sprinkled in."""
+    bf16 values with +-0, and with inf and NaN sprinkled in.  The kernels
+    take and return batch-last arrays; the references are moved to that
+    layout."""
 
     CASES = {
         # The shipped conv-digits layers, at the training batch and at
@@ -799,25 +834,28 @@ class TestConvLayout:
         specials, x, w, _, bias, stride, pad = case
         want = conv2d_forward_nchw(x, w, stride, pad)
         self.check_coverage(specials, want)
-        assert_same_bits_nan_by_position(conv2d_forward(x, w, stride, pad),
-                                         want)
+        xb = batch_last(x)
+        assert_same_bits_nan_by_position(conv2d_forward(xb, w, stride, pad),
+                                         batch_last(want))
         assert_same_bits_nan_by_position(
-            conv2d_forward(x, w, stride, pad, bias),
-            want + bias[:, None, None])
+            conv2d_forward(xb, w, stride, pad, bias),
+            batch_last(want + bias[:, None, None]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_backward(self, case):
         specials, x, w, dy, _, stride, pad = case
         want_dx, want_dw = conv2d_backward_nchw(x, w, dy, stride, pad)
-        dx, dw = conv2d_backward(x, w, dy, stride, pad)
+        xb, dyb = batch_last(x), batch_last(dy)
+        dx, dw = conv2d_backward(xb, w, dyb, stride, pad)
         self.check_coverage(specials, want_dx)
         if not specials:
             # Every dw element sums over the whole batch, so any inf
             # reaches all of them.
             self.check_coverage(specials, want_dw)
-        assert_same_bits_nan_by_position(dx, want_dx)
+        assert_same_bits_nan_by_position(dx, batch_last(want_dx))
         assert_same_bits_nan_by_position(dw, want_dw)
-        _, dw_only = conv2d_backward(x, w, dy, stride, pad, input_grad=False)
+        _, dw_only = conv2d_backward(xb, w, dyb, stride, pad,
+                                     input_grad=False)
         assert np.array_equal(dw_only.view(np.uint32), dw.view(np.uint32))
 
     def test_window_work_stays_in_im2col_and_col2im(self, monkeypatch):
@@ -845,7 +883,7 @@ class TestConvLayout:
         for name in calls:
             monkeypatch.setattr(kernels, name, spy(name))
         rng = np.random.default_rng(3)
-        x = rand_bf16(rng, (4, 2, 5, 5))
+        x = rand_bf16(rng, (2, 5, 5, 4))
         w = rand_bf16(rng, (3, 2, 3, 3))
         y = conv2d_forward(x, w, 1, 1)
         conv2d_backward(x, w, y, 1, 1)
@@ -989,32 +1027,32 @@ class TestActivations:
 class TestPool:
     def test_max(self):
         x = np.float32([[[[1.0, 2.0], [3.0, 4.0]]]])
-        y, _ = pool_forward(PoolKind.MAX, x, 2)
+        y, _ = pool_fwd(PoolKind.MAX, x, 2)
         assert y[0, 0, 0, 0] == 4.0
 
     def test_avg(self):
         x = np.float32([[[[1.0, 2.0], [3.0, 4.0]]]])
-        y, _ = pool_forward(PoolKind.AVG, x, 2)
+        y, _ = pool_fwd(PoolKind.AVG, x, 2)
         assert y[0, 0, 0, 0] == 2.5
 
     def test_max_tie_breaks_to_first_row_major(self):
         x = np.full((1, 1, 2, 2), 7.0, np.float32)
-        _, cache = pool_forward(PoolKind.MAX, x, 2)
-        dx = pool_backward(np.ones((1, 1, 1, 1), np.float32), cache)
+        _, cache = pool_fwd(PoolKind.MAX, x, 2)
+        dx = pool_bwd(np.ones((1, 1, 1, 1), np.float32), cache)
         assert dx[0, 0, 0, 0] == 1.0
         assert dx.sum() == 1.0
 
     def test_max_backward_routes_to_argmax(self):
         x = np.float32([[[[1.0, 9.0], [3.0, 4.0]]]])
-        _, cache = pool_forward(PoolKind.MAX, x, 2)
-        dx = pool_backward(np.float32([[[[5.0]]]]), cache)
+        _, cache = pool_fwd(PoolKind.MAX, x, 2)
+        dx = pool_bwd(np.float32([[[[5.0]]]]), cache)
         assert dx[0, 0, 0, 1] == 5.0
         assert dx.sum() == 5.0
 
     def test_avg_backward_spreads(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        _, cache = pool_forward(PoolKind.AVG, x, 2)
-        dx = pool_backward(np.full((1, 1, 2, 2), 4.0, np.float32), cache)
+        _, cache = pool_fwd(PoolKind.AVG, x, 2)
+        dx = pool_bwd(np.full((1, 1, 2, 2), 4.0, np.float32), cache)
         assert np.all(dx == 1.0)
 
     @pytest.mark.parametrize("kind", [PoolKind.MAX, PoolKind.AVG])
@@ -1026,11 +1064,11 @@ class TestPool:
         dy = rng.standard_normal((1, 2, 2, 2)).astype(np.float32)
 
         def loss(xv):
-            y, _ = pool_forward(kind, xv, 2)
+            y, _ = pool_fwd(kind, xv, 2)
             return float((y.astype(np.float64) * dy).sum())
 
-        _, cache = pool_forward(kind, x, 2)
-        dx = pool_backward(dy, cache)
+        _, cache = pool_fwd(kind, x, 2)
+        dx = pool_bwd(dy, cache)
         assert_grads_close(dx, fd_grad(loss, x.copy(), h_rel=1e-4))
 
     @pytest.mark.parametrize("kind, window", [
@@ -1059,8 +1097,8 @@ class TestPool:
         dy = rng.standard_normal((2, 2, 7 // window, 8 // window)).astype(
             np.float32)
         dy[rng.random(dy.shape) < 0.25] = -0.0
-        y, cache = pool_forward(kind, x, window)
-        dx = pool_backward(dy, cache)
+        y, cache = pool_fwd(kind, x, window)
+        dx = pool_bwd(dy, cache)
         want_y, want_dx = pool_oracle(kind, x, window, window, dy)
         assert np.array_equal(y.view(np.uint32), want_y.view(np.uint32))
         assert np.array_equal(dx.view(np.uint32), want_dx.view(np.uint32))
@@ -1083,8 +1121,8 @@ class TestPool:
         # One share per pixel, so a NaN payload in dy reaches dx with no
         # NaN + NaN whose payload would depend on the add's order.
         dy.view(np.uint32)[rng.random(dy.shape) < 0.15] = 0xFFC00005
-        y, cache = pool_forward(PoolKind.MAX, x, 2)
-        dx = pool_backward(dy, cache)
+        y, cache = pool_fwd(PoolKind.MAX, x, 2)
+        dx = pool_bwd(dy, cache)
         want_y, want_dx = pool_oracle(PoolKind.MAX, x, 2, 2, dy)
         assert np.array_equal(y.view(np.uint32), want_y.view(np.uint32))
         assert np.array_equal(dx.view(np.uint32), want_dx.view(np.uint32))
@@ -1092,9 +1130,9 @@ class TestPool:
     def test_max_zero_ties_keep_the_first_sign(self):
         x = np.float32([[[[-0.0, 0.0, 0.0, -0.0],
                           [0.0, -0.0, -0.0, 0.0]]]])
-        y, cache = pool_forward(PoolKind.MAX, x, 2)
+        y, cache = pool_fwd(PoolKind.MAX, x, 2)
         assert y.view(np.uint32).tolist() == [[[[0x80000000, 0x00000000]]]]
-        dx = pool_backward(np.float32([[[[1.0, 2.0]]]]), cache)
+        dx = pool_bwd(np.float32([[[[1.0, 2.0]]]]), cache)
         assert dx.tolist() == [[[[1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]]
 
     @pytest.mark.parametrize("hw", [(8, 8), (7, 8)],
@@ -1104,8 +1142,8 @@ class TestPool:
         # losers and the missed border all read +0.
         x = np.random.default_rng(16).standard_normal(
             (2, 2) + hw).astype(np.float32)
-        y, cache = pool_forward(PoolKind.MAX, x, 2)
-        dx = pool_backward(np.full(y.shape, -0.0, np.float32), cache)
+        y, cache = pool_fwd(PoolKind.MAX, x, 2)
+        dx = pool_bwd(np.full(y.shape, -0.0, np.float32), cache)
         assert dx.shape == x.shape
         assert not np.any(dx.view(np.uint32))
 
@@ -1124,8 +1162,8 @@ class TestPool:
         x[0, -1].flat[k2 - 1] = np.float32(5000)
         dy = np.arange(1, len(slots) + 2, dtype=np.float32).reshape(
             1, -1, 1, 1)
-        y, cache = pool_forward(PoolKind.MAX, x, window)
-        dx = pool_backward(dy, cache)
+        y, cache = pool_fwd(PoolKind.MAX, x, window)
+        dx = pool_bwd(dy, cache)
         for ch, s in enumerate(slots + [200]):
             assert y[0, ch, 0, 0].tobytes() == x[0, ch].flat[s].tobytes()
             want = np.zeros(k2, np.float32)
@@ -1134,7 +1172,7 @@ class TestPool:
 
     def test_window_too_large(self):
         with pytest.raises(ShapeError):
-            pool_forward(PoolKind.MAX, np.zeros((1, 1, 2, 2), np.float32),
+            pool_fwd(PoolKind.MAX, np.zeros((1, 1, 2, 2), np.float32),
                          3)
 
 
@@ -1320,23 +1358,24 @@ class TestLstmCell:
 def kernel_calls():
     """One call of every function in ``kernels.__all__`` on small arrays."""
     x = np.arange(32, dtype=np.float32).reshape(1, 2, 4, 4)
+    xb = batch_last(x)
     w = np.ones((3, 2, 3, 3), np.float32)
     gamma, beta = bn_params(2)
     _, bn_cache = batchnorm_forward(x, gamma, beta, 1e-5)
-    _, pool_cache = pool_forward(PoolKind.MAX, x, 2)
+    _, pool_cache = pool_forward(PoolKind.MAX, xb, 2)
     pre, c = rand_lstm_step(21)
     _, _, cell = lstm_cell_forward(pre, c)
     return {
-        "conv2d_forward": lambda: conv2d_forward(x, w),
+        "conv2d_forward": lambda: conv2d_forward(xb, w),
         "conv2d_backward": lambda: conv2d_backward(
-            x, w, np.ones((1, 3, 2, 2), np.float32)),
+            xb, w, np.ones((3, 2, 2, 1), np.float32)),
         "batchnorm_forward": lambda: batchnorm_forward(x, gamma, beta, 1e-5),
         "batchnorm_backward": lambda: batchnorm_backward(x, gamma, bn_cache),
         "relu_forward": lambda: relu_forward(x),
         "relu_backward": lambda: relu_backward(x, x),
-        "pool_forward": lambda: pool_forward(PoolKind.AVG, x, 2),
+        "pool_forward": lambda: pool_forward(PoolKind.AVG, xb, 2),
         "pool_backward": lambda: pool_backward(
-            np.ones((1, 2, 2, 2), np.float32), pool_cache),
+            np.ones((2, 2, 2, 1), np.float32), pool_cache),
         "dropout": lambda: dropout(x, 0.5, RngStream(0)),
         "softmax_cross_entropy": lambda: softmax_cross_entropy(
             np.zeros((2, 3), np.float32), [0, 2]),

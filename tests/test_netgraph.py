@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bf16emu import netgraph
+from bf16emu import kernels, netgraph
 from bf16emu.kernels import PoolKind
 from bf16emu.netgraph import (
     BatchNorm,
@@ -26,7 +26,8 @@ from bf16emu.tensor import (
     quantize_tensor,
 )
 
-from test_kernels import assert_grads_close, fd_grad, gemm_oracle
+from oracles import conv2d_backward_nchw, conv2d_forward_nchw
+from test_kernels import assert_grads_close, fd_grad, gemm_oracle, rand_bf16
 
 def mlp_specs():
     return [Dense(2, 8), ReLU(), Dense(8, 2)]
@@ -442,6 +443,87 @@ class TestInputGradSkip:
             assert np.array_equal(g.view(np.uint32), g2.view(np.uint32))
         assert counts == counts2 and counts[0] > 0
         assert n_calls - n_calls2 == saved
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32),
+                                                 b.view(np.uint32))
+
+
+class TestNchwBoundary:
+    """4-D tensors are batch-last between the layers, and NCHW at the
+    network's boundary; every result has the bits of an NCHW network."""
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
+    def test_conv_network_matches_nchw_reference(self, policy):
+        net = build_network([Conv2d(2, 3, 3, pad=1), ReLU(),
+                             Conv2d(3, 2, 3, stride=2, pad=1)], policy,
+                            RngStream(51))
+        rng = np.random.default_rng(52)
+        conv1, conv2 = net.layers[0].params[0], net.layers[2].params[0]
+        for ps in (conv1, conv2):
+            ps.bias[...] = rand_bf16(rng, ps.bias.shape, 0.1)
+        x = rng.standard_normal((4, 2, 8, 8)).astype(np.float32)
+        dy = rng.standard_normal((4, 2, 4, 4)).astype(np.float32)
+        out, tape = net.forward(x, train=True)
+        net.zero_grads()
+        dx = net.backward(tape, dy)
+
+        def q(a):
+            if policy.identity:
+                return a
+            return quantize_array(a, policy.precision, policy.mode)
+
+        def conv(a, ps, stride):
+            y = conv2d_forward_nchw(a, ps.shadow, stride, 1)
+            return q(y + ps.bias[:, None, None])
+
+        # The NCHW network: quantize the input and each layer's output,
+        # and each error gradient entering a layer, except the one the
+        # ReLU passes back, which is exact.
+        x0 = q(x)
+        y1 = conv(x0, conv1, 1)
+        r1 = kernels.relu_forward(y1)
+        assert same_bits(out, conv(r1, conv2, 2))
+        g2 = q(dy)
+        dr1, dw2 = conv2d_backward_nchw(r1, conv2.shadow, g2, 2, 1)
+        g1 = kernels.relu_backward(y1, q(dr1))
+        want_dx, dw1 = conv2d_backward_nchw(x0, conv1.shadow, g1, 1, 1)
+        assert same_bits(dx, want_dx)
+        for ps, dw, g in ((conv1, dw1, g1), (conv2, dw2, g2)):
+            assert same_bits(ps.grad, dw)
+            assert same_bits(ps.bias_grad,
+                             g.sum(axis=(0, 2, 3), dtype=np.float32))
+
+    def test_batchnorm_reduces_in_nchw_order(self):
+        net = build_network([BatchNorm(3)], QuantPolicy(Precision.FP32),
+                            RngStream(53))
+        rng = np.random.default_rng(54)
+        x = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+        dy = rng.standard_normal(x.shape).astype(np.float32)
+        out, tape = net.forward(x, train=True)
+        net.zero_grads()
+        dx = net.backward(tape, dy)
+        ps = net.layers[0].params[0]
+        want, cache = kernels.batchnorm_forward(x, ps.shadow, ps.bias,
+                                                1e-5)
+        want_dx, dgamma, dbeta = kernels.batchnorm_backward(dy, ps.shadow,
+                                                            cache)
+        assert same_bits(out, want) and same_bits(dx, want_dx)
+        assert same_bits(ps.grad, dgamma) and same_bits(ps.bias_grad, dbeta)
+
+    def test_dropout_mask_is_drawn_in_nchw_shape(self):
+        net = build_network([Dropout(0.5)], QuantPolicy(Precision.FP32),
+                            RngStream(0))
+        rng = np.random.default_rng(55)
+        x = rng.standard_normal((3, 2, 4, 5)).astype(np.float32)
+        dy = rng.standard_normal(x.shape).astype(np.float32)
+        step = RngStream(1, 5)
+        out, tape = net.forward(x, train=True, step_rng=step)
+        dx = net.backward(tape, dy)
+        want, mask = kernels.dropout(x, 0.5, step.child(0))
+        assert same_bits(out, want)
+        assert same_bits(dx, dy * mask * np.float32(2.0))
 
 
 class TestDropoutLayer:

@@ -269,6 +269,33 @@ class TestOracleAgreement:
                 assert np.array_equal(want.view(np.uint32),
                                       got.view(np.uint32))
 
+    @pytest.mark.parametrize("mode", [RNE, TRUNC], ids=["rne", "trunc"])
+    def test_bf16_boundary_patterns_vs_vectorized_oracle(self, mode):
+        # Every high half with the low halves on and around the rounding
+        # boundaries: 524288 patterns, as a 2-D array.  quantize_array and
+        # f32_to_bf16_array share one projection; both are checked.
+        highs = np.arange(1 << 16, dtype=np.uint32) << 16
+        lows = np.uint32([0, 1, 0x4000, 0x7FFF, 0x8000, 0x8001, 0xC000,
+                          0xFFFF])
+        bits = highs[:, None] | lows[None, :]
+        x = bits.view(np.float32)
+        got = quantize_array(x, Precision.BF16, mode)
+        assert got.shape == x.shape and got.dtype == np.float32
+        got_bits = got.view(np.uint32)
+        assert np.array_equal(f32_to_bf16_array(x, mode),
+                              (got_bits >> 16).astype(np.uint16))
+        nan = np.isnan(x)
+        want = round_vectorized(x[~nan], BF16_FTZ, mode.value)
+        assert np.array_equal(got_bits[~nan],
+                              want.astype(np.float32).view(np.uint32))
+        # NaN: the truncated payload if any of its 7 bits survive, else
+        # the quiet NaN of its sign.
+        top = bits[nan] & np.uint32(0xFFFF0000)
+        lost = (top & np.uint32(0x007F0000)) == 0
+        want_nan = np.where(lost, (top & np.uint32(0x80000000))
+                            | np.uint32(0x7FC00000), top)
+        assert np.array_equal(got_bits[nan], want_nan)
+
     def test_numpy_float16_cast_agrees(self):
         # Third, library-provided reference for the fp16 RNE path.
         rng = np.random.default_rng(11)

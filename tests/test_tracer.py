@@ -36,9 +36,9 @@ def test_detail_tracer_installs_and_uninstalls():
         for name in HOOKED:
             assert getattr(kernels, name).__wrapped__ is originals[name]
         assert tensor.quantize_tensor.__wrapped__ is quantize
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
+        x = np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1)
         _, cache = kernels.pool_forward(PoolKind.MAX, x, 2)
-        kernels.pool_backward(np.ones((1, 1, 2, 2), np.float32), cache)
+        kernels.pool_backward(np.ones((1, 2, 2, 1), np.float32), cache)
         kernels._im2col(x, 2, 1, 0)
         c = np.zeros((2, 3), np.float32)
         _, _, cell = kernels.lstm_cell_forward(np.ones((2, 12), np.float32),
