@@ -182,12 +182,10 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int,
     wo = _out_extent(w, k, stride, pad)
     p, s = pad, stride
     if transposed:
-        # One slice copy per (u, v), each along rows holding the whole
-        # batch, from x itself or from one padded copy.
-        xp = x
-        if p:
-            xp = np.zeros((c, h + 2 * p, w + 2 * p, n), np.float32)
-            xp[:, p:p + h, p:p + w] = x
+        # One padded copy, then one slice copy per (u, v), each along
+        # rows holding the whole batch.
+        xp = np.zeros((c, h + 2 * p, w + 2 * p, n), np.float32)
+        xp[:, p:p + h, p:p + w] = x
         cols = np.empty((c, k, k, ho, wo, n), np.float32)
         for u in range(k):
             for v in range(k):

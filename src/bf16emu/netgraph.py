@@ -191,15 +191,10 @@ class QuantStats:
         self.nonzero = 0
 
     def record(self, before: np.ndarray, after: np.ndarray):
-        if after is before:
-            # A selected gradient: quantizing it would have zeroed nothing.
-            # (count_nonzero on the bool array is several times faster
-            # than on the floats.)
-            self.nonzero += int(np.count_nonzero(before != 0))
-            return
         nz = before != 0
         self.nonzero += int(np.count_nonzero(nz))
-        self.zeroed += int(np.count_nonzero(nz & (after == 0)))
+        if after is not before:
+            self.zeroed += int(np.count_nonzero(nz & (after == 0)))
 
     @property
     def underflow_fraction(self) -> float:
