@@ -5,10 +5,9 @@ gradient, an optional FP32 bias with its gradient, and the shadow the
 kernels read, which is the quantized master (or the master itself where
 nothing is quantized).  Biases never pass through quantization.
 `Network.forward` and `Network.backward` take and return float32 arrays
-too; the precision tag (`Tensor`) lives only between the layers, where
-it lets `_quantize` skip values already in the target format.  Layers
-do only arithmetic and caching: they hand the kernels plain arrays and
-wrap the results in `Tensor`.
+too, and so do the layers, like the kernels they call: layers do only
+arithmetic and caching.  A float64 or non-contiguous input or ``dy`` is
+read as its C-contiguous float32 copy.
 `Network` quantizes at layer boundaries: the network input, each
 layer's output and the error gradient entering each layer.  Only the
 LSTM quantizes inside itself, in its recurrence: the hidden state it
@@ -18,14 +17,18 @@ fixed table, `_FP32_ROLES`.  The policy sets only the format and
 rounding; with an FP32 policy `_quantize` is the identity and the
 engine is a plain FP32 network.
 
-A layer whose results are exact in its input's format keeps the input's
-tag, so `_quantize` skips them: Flatten, and the selecting layers
-(`_Layer.selects`), ReLU and max pooling, in both directions.
-Quantizing an exact value leaves its bits as they are, so skipping it
-changes no result.  Avg pooling computes new values; they are quantized.
-`QuantStats` still counts each error gradient a selecting layer passes
-back, as the quantization it skips would have, so `grad_underflow_frac`
-does not depend on the skip; Flatten's pass-through is not counted.
+Whether an array is already in the policy's format is one bool,
+``exact``, which `Network` carries from each layer's result to the
+`_quantize` that follows it.  A result is exact where the layer keeps
+its input's format (`_Layer.keeps`: Flatten, ReLU and max pooling, in
+both directions) or returns its input itself (Dropout when it is off,
+`EltwiseAdd`'s backward); any other result, and the sum of two error
+gradients, is new arithmetic.  Quantizing an exact value leaves its bits
+as they are, so skipping it changes no result.  `QuantStats` still
+counts each error gradient a selecting layer (`_Layer.selects`: ReLU,
+max pooling) passes back, as the quantization it skips would have, so
+`grad_underflow_frac` does not depend on the skip; Flatten's
+pass-through is not counted.
 
 Between the layers, 4-D activations and error gradients are batch-last
 (C, H, W, N), the layout of the conv and pool kernels, so a whole conv
@@ -117,7 +120,7 @@ class BatchNorm:
 
 @dataclass(frozen=True)
 class ReLU:
-    """max(x, 0); selects, so its results keep their input's tag."""
+    """max(x, 0); selects, so its results are exact where x is."""
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,8 @@ class Lstm:
 
 @dataclass(frozen=True)
 class Flatten:
-    """Reshape (N, ...) to (N, features); no arithmetic, keeps the tag."""
+    """Reshape (N, ...) to (N, features); no arithmetic, so its results
+    are exact where its inputs are."""
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +217,7 @@ class Tape:
     def __init__(self, record: bool = True):
         self.record = record
         self.caches: list = []
-        self.outputs: list[Tensor | None] = []
+        self.outputs: list[np.ndarray | None] = []
         self.consumed = False
 
     def cache(self, value) -> None:
@@ -247,26 +251,26 @@ def _nchw(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(3, 0, 1, 2)) if a.ndim == 4 else a
 
 
-def _quantize(t: Tensor, ctx: _Ctx, layer_class: str, role: str,
-              selected: bool = False) -> Tensor:
-    """Quantize ``t``, the ``role`` tensor of a ``layer_class`` layer,
-    unless the policy is FP32, ``_FP32_ROLES`` keeps the role or ``t`` is
-    already in its format; returns ``t`` itself then.
+def _quantize(a: np.ndarray, exact: bool, ctx: _Ctx, layer_class: str,
+              role: str, selected: bool = False) -> np.ndarray:
+    """Quantize ``a``, the ``role`` tensor of a ``layer_class`` layer,
+    unless the policy is FP32, ``_FP32_ROLES`` keeps the role or ``a`` is
+    ``exact``, already in the policy's format; returns ``a`` itself then.
 
     Error gradients are recorded in the context's stats.  A ``selected``
-    one, passed back with its tag by a selecting layer, is recorded too,
-    as quantizing it would have been: an exact value loses nothing.
+    one, passed back exact by a selecting layer, is recorded too, as
+    quantizing it would have been: an exact value loses nothing.
     """
     policy = ctx.policy
     if policy.identity or role in _FP32_ROLES.get(layer_class, ()):
-        return t
-    if t.tag is policy.precision:
+        return a
+    if exact:
         if selected and role == "err" and ctx.stats is not None:
-            ctx.stats.record(t.data, t.data)
-        return t
-    q = quantize_tensor(t, policy.precision, policy.mode)
+            ctx.stats.record(a, a)
+        return a
+    q = quantize_tensor(Tensor(a), policy.precision, policy.mode).data
     if role == "err" and ctx.stats is not None:
-        ctx.stats.record(t.data, q.data)
+        ctx.stats.record(a, q)
     return q
 
 
@@ -277,25 +281,24 @@ def _quantize(t: Tensor, ctx: _Ctx, layer_class: str, role: str,
 
 class _Layer:
     layer_class = "gemm"
+    # True where the results are exact whenever the inputs are (forward's
+    # of x, backward's of dy), so `_quantize` skips them.
+    keeps = False
     # True where forward only selects or zeros elements of x, and backward
-    # those of dy: the results are exact in their input's format, so they
-    # keep its tag and `_quantize` skips them.
+    # those of dy; `_quantize` still records the error gradients such a
+    # layer passes back.
     selects = False
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, spec, rng: RngStream):
         self.index = index
+        self.spec = spec
         self.params: list[ParamSet] = []
 
-    def _result(self, data: np.ndarray, source: Tensor) -> Tensor:
-        """``data`` as a Tensor, with ``source``'s tag if the layer
-        selects."""
-        return Tensor(data, source.tag) if self.selects else Tensor(data)
-
-    def forward(self, x: Tensor, ctx: _Ctx, tape: Tape) -> Tensor:
+    def forward(self, x: np.ndarray, ctx: _Ctx, tape: Tape) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dy: Tensor, ctx: _Ctx, cache,
-                 input_grad: bool) -> Tensor | None:
+    def backward(self, dy: np.ndarray, ctx: _Ctx, cache,
+                 input_grad: bool) -> np.ndarray | None:
         """Accumulates parameter gradients and returns the input
         gradient.  Without ``input_grad`` a layer may skip computing it
         and return None."""
@@ -306,8 +309,7 @@ class _DenseLayer(_Layer):
     layer_class = "gemm"
 
     def __init__(self, index, spec: Dense, rng: RngStream):
-        super().__init__(index)
-        self.spec = spec
+        super().__init__(index, spec, rng)
         w = init_tensor((spec.out_features, spec.in_features),
                         XavierUniform(spec.in_features, spec.out_features),
                         rng.child(0))
@@ -315,29 +317,27 @@ class _DenseLayer(_Layer):
                                 np.zeros(spec.out_features, np.float32))]
 
     def forward(self, x, ctx, tape):
-        if x.data.ndim != 2 or x.shape[1] != self.spec.in_features:
+        if x.ndim != 2 or x.shape[1] != self.spec.in_features:
             raise ShapeError(f"dense{self.index} input shape {x.shape}")
         ps = self.params[0]
-        y = K._gemm(x.data, ps.shadow.T) + ps.bias
         tape.cache(x)
-        return Tensor(y)
+        return K._gemm(x, ps.shadow.T) + ps.bias
 
     def backward(self, dy, ctx, cache, input_grad):
         x = cache
         ps = self.params[0]
-        ps.grad += K._gemm(dy.data.T, x.data)
-        ps.bias_grad += dy.data.sum(axis=0, dtype=np.float32)
+        ps.grad += K._gemm(dy.T, x)
+        ps.bias_grad += dy.sum(axis=0, dtype=np.float32)
         if not input_grad:
             return None
-        return Tensor(K._gemm(dy.data, ps.shadow))
+        return K._gemm(dy, ps.shadow)
 
 
 class _ConvLayer(_Layer):
     layer_class = "conv"
 
     def __init__(self, index, spec: Conv2d, rng: RngStream):
-        super().__init__(index)
-        self.spec = spec
+        super().__init__(index, spec, rng)
         fan_in = spec.in_channels * spec.kernel * spec.kernel
         w = init_tensor((spec.out_channels, spec.in_channels,
                          spec.kernel, spec.kernel), HeNormal(fan_in),
@@ -347,29 +347,26 @@ class _ConvLayer(_Layer):
 
     def forward(self, x, ctx, tape):
         ps = self.params[0]
-        y = K.conv2d_forward(x.data, ps.shadow, self.spec.stride,
-                             self.spec.pad, ps.bias)
-        tape.cache(x.data)
-        return Tensor(y)
+        tape.cache(x)
+        return K.conv2d_forward(x, ps.shadow, self.spec.stride,
+                                self.spec.pad, ps.bias)
 
     def backward(self, dy, ctx, cache, input_grad):
         ps = self.params[0]
-        dx, dw = K.conv2d_backward(cache, ps.shadow, dy.data,
-                                   self.spec.stride, self.spec.pad,
-                                   input_grad)
+        dx, dw = K.conv2d_backward(cache, ps.shadow, dy, self.spec.stride,
+                                   self.spec.pad, input_grad)
         ps.grad += dw
         # NumPy's pairwise sum follows the memory layout, so the bias
         # gradient reduces an NCHW copy, in the order of an NCHW network.
-        ps.bias_grad += _nchw(dy.data).sum(axis=(0, 2, 3), dtype=np.float32)
-        return None if dx is None else Tensor(dx)
+        ps.bias_grad += _nchw(dy).sum(axis=(0, 2, 3), dtype=np.float32)
+        return dx
 
 
 class _BatchNormLayer(_Layer):
     layer_class = "batchnorm"
 
     def __init__(self, index, spec: BatchNorm, rng: RngStream):
-        super().__init__(index)
-        self.spec = spec
+        super().__init__(index, spec, rng)
         self.params = [ParamSet(f"batchnorm{index}.gamma",
                                 np.ones(spec.channels, np.float32),
                                 np.zeros(spec.channels, np.float32))]
@@ -378,58 +375,49 @@ class _BatchNormLayer(_Layer):
     # of an NCHW network.
     def forward(self, x, ctx, tape):
         ps = self.params[0]
-        y, cache = K.batchnorm_forward(_nchw(x.data), ps.shadow, ps.bias,
+        y, cache = K.batchnorm_forward(_nchw(x), ps.shadow, ps.bias,
                                        self.spec.eps)
         tape.cache(cache)
-        return Tensor(_batch_last(y))
+        return _batch_last(y)
 
     def backward(self, dy, ctx, cache, input_grad):
         ps = self.params[0]
-        dx, dgamma, dbeta = K.batchnorm_backward(_nchw(dy.data), ps.shadow,
-                                                 cache)
+        dx, dgamma, dbeta = K.batchnorm_backward(_nchw(dy), ps.shadow, cache)
         ps.grad += dgamma
         ps.bias_grad += dbeta
-        return Tensor(_batch_last(dx))
+        return _batch_last(dx)
 
 
 class _ReluLayer(_Layer):
     layer_class = "activation"
-    selects = True
-
-    def __init__(self, index, spec: ReLU, rng: RngStream):
-        super().__init__(index)
+    keeps = selects = True
 
     def forward(self, x, ctx, tape):
-        tape.cache(x.data)
-        return self._result(K.relu_forward(x.data), x)
+        tape.cache(x)
+        return K.relu_forward(x)
 
     def backward(self, dy, ctx, cache, input_grad):
-        return self._result(K.relu_backward(cache, dy.data), dy)
+        return K.relu_backward(cache, dy)
 
 
 class _PoolLayer(_Layer):
     layer_class = "pool"
 
     def __init__(self, index, spec: Pool, rng: RngStream):
-        super().__init__(index)
-        self.spec = spec
-        self.selects = spec.kind is PoolKind.MAX
+        super().__init__(index, spec, rng)
+        self.keeps = self.selects = spec.kind is PoolKind.MAX
 
     def forward(self, x, ctx, tape):
-        y, cache = K.pool_forward(self.spec.kind, x.data, self.spec.window)
+        y, cache = K.pool_forward(self.spec.kind, x, self.spec.window)
         tape.cache(cache)
-        return self._result(y, x)
+        return y
 
     def backward(self, dy, ctx, cache, input_grad):
-        return self._result(K.pool_backward(dy.data, cache), dy)
+        return K.pool_backward(dy, cache)
 
 
 class _DropoutLayer(_Layer):
     layer_class = "dropout"
-
-    def __init__(self, index, spec: Dropout, rng: RngStream):
-        super().__init__(index)
-        self.spec = spec
 
     def forward(self, x, ctx, tape):
         if not ctx.train or self.spec.p == 0.0:
@@ -438,33 +426,31 @@ class _DropoutLayer(_Layer):
         if ctx.rng is None:
             raise ValueError("dropout in train mode needs a step rng")
         # The mask is drawn in the NCHW shape, as an NCHW network draws it.
-        y, mask = K.dropout(_nchw(x.data), self.spec.p,
-                            ctx.rng.child(self.index))
+        y, mask = K.dropout(_nchw(x), self.spec.p, ctx.rng.child(self.index))
         tape.cache(_batch_last(mask))
-        return Tensor(_batch_last(y))
+        return _batch_last(y)
 
     def backward(self, dy, ctx, cache, input_grad):
         if cache is None:
             return dy
         scale = np.float32(1.0 / (1.0 - self.spec.p))
-        return Tensor(dy.data * cache * scale)
+        return dy * cache * scale
 
 
 class _EltwiseAddLayer(_Layer):
     layer_class = "eltwise"
 
     def __init__(self, index, spec: EltwiseAdd, rng: RngStream):
-        super().__init__(index)
         if not 0 <= spec.source < index:
             raise ValueError("eltwise source must be an earlier layer")
-        self.spec = spec
+        super().__init__(index, spec, rng)
 
     def forward(self, x, ctx, tape):
         skip = tape.outputs[self.spec.source]
         if skip.shape != x.shape:
             raise ShapeError("eltwise operands differ in shape")
         tape.cache(None)
-        return Tensor(x.data + skip.data)
+        return x + skip
 
     def backward(self, dy, ctx, cache, input_grad):
         # The caller routes a copy of the returned gradient to the skip
@@ -476,8 +462,7 @@ class _LstmLayer(_Layer):
     layer_class = "lstm"
 
     def __init__(self, index, spec: Lstm, rng: RngStream):
-        super().__init__(index)
-        self.spec = spec
+        super().__init__(index, spec, rng)
         h, i = spec.hidden_size, spec.input_size
         w_ih = init_tensor((4 * h, i), XavierUniform(i, h), rng.child(0))
         w_hh = init_tensor((4 * h, h), XavierUniform(h, h), rng.child(1))
@@ -487,7 +472,7 @@ class _LstmLayer(_Layer):
         ]
 
     def forward(self, x, ctx, tape):
-        if x.data.ndim != 3 or x.shape[2] != self.spec.input_size:
+        if x.ndim != 3 or x.shape[2] != self.spec.input_size:
             raise ShapeError(f"lstm{self.index} expects (N,T,I), got {x.shape}")
         n, t, _ = x.shape
         hsz = self.spec.hidden_size
@@ -497,51 +482,48 @@ class _LstmLayer(_Layer):
         c = np.zeros((n, hsz), np.float32)
         steps = []
         for step in range(t):
-            xt = np.ascontiguousarray(x.data[:, step, :])
-            hq = _quantize(Tensor(h), ctx, self.layer_class, "act").data
+            xt = np.ascontiguousarray(x[:, step, :])
+            hq = _quantize(h, False, ctx, self.layer_class, "act")
             pre = (K._gemm(xt, w_ih.T) + K._gemm(hq, w_hh.T)) + bias
             h, c, cell = K.lstm_cell_forward(pre, c)
             if tape.record:
                 steps.append((xt, hq, cell))
         tape.cache((steps, x.shape))
-        return Tensor(h)
+        return h
 
     def backward(self, dy, ctx, cache, input_grad):
         steps, x_shape = cache
         w_ih_ps, w_hh_ps = self.params
         w_ih, w_hh = w_ih_ps.shadow, w_hh_ps.shadow
-        dh = dy.data
+        dh = dy
         dc = np.zeros_like(dh)
         dx = np.zeros(x_shape, np.float32) if input_grad else None
         for step in range(x_shape[1] - 1, -1, -1):
             xt, hq, cell = steps[step]
             dpre, dc = K.lstm_cell_backward(dh, dc, cell)
-            dpre = _quantize(Tensor(dpre), ctx, self.layer_class, "err").data
+            dpre = _quantize(dpre, False, ctx, self.layer_class, "err")
             if input_grad:
                 dx[:, step, :] = K._gemm(dpre, w_ih)
             dh = K._gemm(dpre, w_hh)
             w_ih_ps.grad += K._gemm(dpre.T, xt)
             w_hh_ps.grad += K._gemm(dpre.T, hq)
             w_ih_ps.bias_grad += dpre.sum(axis=0, dtype=np.float32)
-        return None if dx is None else Tensor(dx)
+        return dx
 
 
 class _FlattenLayer(_Layer):
-    layer_class = "eltwise"  # keeps the tag: a quantized input passes as is
-
-    def __init__(self, index, spec: Flatten, rng: RngStream):
-        super().__init__(index)
+    layer_class = "eltwise"
+    keeps = True
 
     # A batch-last (C, H, W, N) input flattens in NCHW feature order.
     def forward(self, x, ctx, tape):
-        data = _nchw(x.data) if x.data.ndim == 4 else x.data.copy()
+        data = _nchw(x) if x.ndim == 4 else x.copy()
         tape.cache(data.shape)
-        return Tensor(data.reshape(len(data), -1), x.tag)
+        return data.reshape(len(data), -1)
 
     def backward(self, dy, ctx, cache, input_grad):
-        data = dy.data.reshape(cache)
-        return Tensor(_batch_last(data) if data.ndim == 4 else data.copy(),
-                      dy.tag)
+        data = dy.reshape(cache)
+        return _batch_last(data) if data.ndim == 4 else data.copy()
 
 
 _LAYER_TYPES = {
@@ -587,8 +569,8 @@ class Network:
         ctx = _Ctx(self.policy)
         for layer in self.layers:
             for ps in layer.params:
-                ps.shadow = _quantize(Tensor(ps.master), ctx,
-                                      layer.layer_class, "weight").data
+                ps.shadow = _quantize(ps.master, False, ctx,
+                                      layer.layer_class, "weight")
 
     def zero_grads(self):
         for ps in self.param_sets():
@@ -609,15 +591,20 @@ class Network:
         return self._run(x, _Ctx(self.policy), Tape(record=False))
 
     def _run(self, x: np.ndarray, ctx: _Ctx, tape: Tape) -> np.ndarray:
-        out = Tensor(_batch_last(x))
+        out = _batch_last(np.ascontiguousarray(x, np.float32))
         if self.layers:
-            out = _quantize(out, ctx, self.layers[0].layer_class, "act")
+            out = _quantize(out, False, ctx, self.layers[0].layer_class,
+                            "act")
         for i, layer in enumerate(self.layers):
-            out = _quantize(layer.forward(out, ctx, tape), ctx,
+            # Every input is quantized, so a result is exact where the
+            # layer keeps its input's format or returns the input itself.
+            y = layer.forward(out, ctx, tape)
+            out = _quantize(y, layer.keeps or y is out, ctx,
                             layer.layer_class, "act")
+            del y  # the raw output must not outlive its quantization
             keep = tape.record or i in self._skip_sources
             tape.outputs.append(out if keep else None)
-        return _nchw(out.data)
+        return _nchw(out)
 
     def backward(self, tape: Tape, dy: np.ndarray,
                  stats: QuantStats | None = None,
@@ -629,25 +616,31 @@ class Network:
         if tape.consumed:
             raise RuntimeError("tape already consumed by a backward pass")
         tape.consumed = True
-        grad = Tensor(_batch_last(dy))
+        grad = _batch_last(np.ascontiguousarray(dy, np.float32))
         if tape.outputs and grad.shape != tape.outputs[-1].shape:
             raise ShapeError(f"dy shape {dy.shape} != output shape "
-                             f"{_nchw(tape.outputs[-1].data).shape}")
+                             f"{_nchw(tape.outputs[-1]).shape}")
         ctx = _Ctx(self.policy, stats=stats)
         pending: dict[int, np.ndarray] = {}
-        selected = False
+        exact = selected = False
         for i in range(len(self.layers) - 1, -1, -1):
             if i in pending:
-                grad = Tensor(grad.data + pending.pop(i))
+                grad = grad + pending.pop(i)
+                exact = False
             layer = self.layers[i]
-            grad = _quantize(grad, ctx, layer.layer_class, "err", selected)
-            grad = layer.backward(grad, ctx, tape.caches[i],
-                                  input_grad or i > 0)
+            grad = _quantize(grad, exact, ctx, layer.layer_class, "err",
+                             selected)
+            dy_i, grad = grad, layer.backward(grad, ctx, tape.caches[i],
+                                              input_grad or i > 0)
+            # Only batchnorm keeps its incoming gradient in FP32, and it
+            # neither keeps the format nor returns dy itself.
+            exact = layer.keeps or grad is dy_i
+            del dy_i  # the quantized gradient must not outlive this call
             selected = layer.selects
             if isinstance(layer, _EltwiseAddLayer):
                 src = layer.spec.source
-                pending[src] = pending.get(src, 0) + grad.data
-        return _nchw(grad.data) if input_grad else None
+                pending[src] = pending.get(src, 0) + grad
+        return _nchw(grad) if input_grad else None
 
 
 def build_network(specs, policy: QuantPolicy, rng: RngStream) -> Network:

@@ -4,10 +4,11 @@ A tensor tagged BF16 or FP16 still stores FP32 values; the tag, a
 `numerics.Precision`, asserts that every element is exactly
 representable in the tagged format, so FP32 kernels operating on it
 reproduce the 16-bit-input / FP32-accumulator arithmetic bit for bit.
-Only `netgraph` (between its layers) and the dump format carry the tag;
-parameters, optimizers and the harness hold plain float32 arrays, and
-`init_tensor` returns one.  A `QuantPolicy` names only the target format
-and rounding mode; the network decides which tensors it applies to.
+Only the dump format carries the tag, and `netgraph._quantize` calls
+`quantize_tensor`; layers, parameters, optimizers and the harness hold
+plain float32 arrays, and `init_tensor` returns one.  A `QuantPolicy`
+names only the target format and rounding mode; the network decides
+which tensors it applies to.
 """
 
 from __future__ import annotations

@@ -21,13 +21,8 @@ from bf16emu.kernels import (
     softmax_cross_entropy,
     _gemm,
 )
-from bf16emu.numerics import Precision
-from bf16emu.tensor import (
-    RngStream,
-    ShapeError,
-    Tensor,
-    quantize_tensor,
-)
+from bf16emu.numerics import Precision, quantize_array
+from bf16emu.tensor import RngStream, ShapeError, Tensor
 
 from oracles import conv2d_backward_nchw, conv2d_forward_nchw, gemm_loop
 
@@ -235,7 +230,7 @@ def assert_grads_close(analytic, numeric, tol=1e-3):
 
 def rand_bf16(rng, shape, scale=1.0):
     x = (rng.standard_normal(shape) * scale).astype(np.float32)
-    return quantize_tensor(Tensor(x), Precision.BF16).data
+    return quantize_array(x, Precision.BF16)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +299,8 @@ class TestGemm:
         b = np.float32([[1.0], [1.0]])
         assert _gemm(a, b)[0, 0] == 1048577.0
         # The same sum rounded through bf16 loses the 1.0.
-        s = quantize_tensor(Tensor(np.float32([1048577.0])), Precision.BF16)
-        assert s.data[0] == 1048576.0
+        s = quantize_array(np.float32([1048577.0]), Precision.BF16)
+        assert s[0] == 1048576.0
 
     # m*n == 1 stays on the per-k loop, since einsum would reduce the k
     # axis in SIMD partial sums.
@@ -624,8 +619,8 @@ class TestGemm:
                     a = rng.standard_normal((m, k)).astype(np.float32)
                     b = rng.standard_normal((k, n)).astype(np.float32)
                     if inputs == "bf16":
-                        a = quantize_tensor(Tensor(a), Precision.BF16).data
-                        b = quantize_tensor(Tensor(b), Precision.BF16).data
+                        a = quantize_array(a, Precision.BF16)
+                        b = quantize_array(b, Precision.BF16)
                     got = _gemm(a, b)
                     want = gemm_loop(a, b)
                     assert np.array_equal(got.view(np.uint32),

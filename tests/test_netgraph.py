@@ -95,7 +95,7 @@ def every_layer_kind():
 
 class TestArrayBoundary:
     """Parameters and the network's inputs and outputs are plain float32
-    arrays; the precision tag stays between the layers."""
+    arrays."""
 
     @pytest.mark.parametrize("policy", [QuantPolicy(Precision.FP32),
                                         QuantPolicy(Precision.BF16)],
@@ -121,6 +121,36 @@ class TestArrayBoundary:
         for ps in net.param_sets():
             assert type(ps.shadow) is np.ndarray
             assert ps.shadow.dtype == np.float32
+
+    @pytest.mark.parametrize("layout", ["float64", "fortran"])
+    @pytest.mark.parametrize("policy", [QuantPolicy(Precision.FP32),
+                                        QuantPolicy(Precision.BF16)],
+                             ids=["fp32", "bf16"])
+    @pytest.mark.parametrize("specs, x_shape", [
+        (mlp_specs(), (4, 2)),
+        (every_layer_kind(), (4, 1, 4, 4)),
+    ], ids=["mlp", "every-layer-kind"])
+    def test_inputs_are_read_as_c_contiguous_float32(self, specs, x_shape,
+                                                     policy, layout):
+        """A float64 or Fortran-ordered ``x`` or ``dy`` gives the float32
+        bits of its C-contiguous float32 copy."""
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal(x_shape)
+        dy = rng.standard_normal((x_shape[0], 2))
+        if layout == "fortran":
+            x, dy = (np.asfortranarray(a, np.float32) for a in (x, dy))
+
+        def run(x, dy):
+            net = build_network(specs, policy, RngStream(19))
+            out, tape = net.forward(x, train=True, step_rng=RngStream(1, 2))
+            dx = net.backward(tape, dy)
+            return [out, net.infer(x), dx] + [
+                g for ps in net.param_sets() for _, _, g in ps.arrays()]
+
+        want = run(np.ascontiguousarray(x, np.float32),
+                   np.ascontiguousarray(dy, np.float32))
+        for g, w in zip(run(x, dy), want, strict=True):
+            assert g.dtype == np.float32 and same_bits(g, w)
 
     def test_lstm_params_are_arrays(self):
         net = build_network([Lstm(1, 3), Dense(3, 2)],
@@ -287,7 +317,7 @@ class TestBackward:
         out, tape = net.forward(x, train=False)
         # Forward is the residual sum of the two branch outputs.
         assert np.array_equal(out,
-                              tape.outputs[2].data + tape.outputs[1].data)
+                              tape.outputs[2] + tape.outputs[1])
 
         def loss(xv):
             o, _ = net.forward(xv, train=False)
@@ -701,10 +731,9 @@ class TestQuantizationPlacement:
         _, tape = net.forward(x, train=True, step_rng=RngStream(1, 2))
         assert len(tape.outputs) == len(specs)
         for out in tape.outputs:
-            assert out.tag is Precision.BF16
-            requantized = quantize_tensor(out, Precision.BF16)
-            assert np.array_equal(out.data.view(np.uint32),
-                                  requantized.data.view(np.uint32))
+            requantized = quantize_array(out, Precision.BF16)
+            assert np.array_equal(out.view(np.uint32),
+                                  requantized.view(np.uint32))
 
     def test_output_of_non_gemm_last_layer_quantized(self):
         net = build_network([Dense(2, 4), BatchNorm(4)],
@@ -713,10 +742,8 @@ class TestQuantizationPlacement:
             (4, 2)).astype(np.float32)
         _, tape = net.forward(x, train=False)
         out = tape.outputs[-1]
-        assert out.tag is Precision.BF16
-        requantized = quantize_tensor(out, Precision.BF16)
-        assert np.array_equal(out.data.view(np.uint32),
-                              requantized.data.view(np.uint32))
+        requantized = quantize_array(out, Precision.BF16)
+        assert np.array_equal(out.view(np.uint32), requantized.view(np.uint32))
 
     def test_error_grad_entering_batchnorm_not_quantized(self):
         # Under the default rules the gradients entering both Dense
@@ -737,8 +764,10 @@ class TestQuantizationPlacement:
 
 class TestSelectionPassThrough:
     """ReLU and max pooling only select or zero values, so their results
-    keep their input's tag and are not quantized again; the error
-    gradients they pass back are still counted."""
+    are exact and are not quantized again; the error gradients they pass
+    back are still counted.  Flatten's results, the input Dropout returns
+    when it is off and the gradient EltwiseAdd passes back are exact too,
+    and are neither quantized nor counted."""
 
     X_SHAPE = (4, 1, 6, 6)
 
@@ -752,10 +781,17 @@ class TestSelectionPassThrough:
         return [Conv2d(1, 2, 3, pad=1), Pool(PoolKind.AVG, 3), Flatten(),
                 Dense(8, 3)]
 
-    def run(self, specs, policy, monkeypatch):
+    @staticmethod
+    def passing_through():
+        """Run with ``train=False``, so Dropout returns its input."""
+        return [Conv2d(1, 2, 3, pad=1), Dropout(0.5), ReLU(),
+                EltwiseAdd(source=1), Flatten(), Dense(72, 3)]
+
+    def run(self, specs, policy, monkeypatch, train=True):
         """One forward and backward; returns the (layer class, role) of
         each quantize_tensor call per pass, the stats, and per layer the
-        gradient it received and the one it passed back."""
+        gradient it received and the one it passed back.  Every layer
+        result must be a C-contiguous float32 array."""
         net = build_network(specs, policy, RngStream(41))
         rng = np.random.default_rng(42)
         x = rng.standard_normal(self.X_SHAPE).astype(np.float32)
@@ -764,10 +800,10 @@ class TestSelectionPassThrough:
         calls, site = [], []
         original = netgraph._quantize
 
-        def quantize(t, ctx, layer_class, role, *args):
+        def quantize(a, exact, ctx, layer_class, role, *args):
             site.append((layer_class, role))
             try:
-                return original(t, ctx, layer_class, role, *args)
+                return original(a, exact, ctx, layer_class, role, *args)
             finally:
                 site.pop()
 
@@ -775,17 +811,26 @@ class TestSelectionPassThrough:
             calls.append(site[-1])
             return quantize_tensor(t, *args)
 
+        def array(a):
+            assert type(a) is np.ndarray and a.dtype == np.float32
+            assert a.flags.c_contiguous
+            return a
+
         grads = {}
         for layer in net.layers:
+            def forward(x, ctx, tape, inner=layer.forward):
+                return array(inner(x, ctx, tape))
+
             def backward(g, ctx, cache, input_grad, layer=layer,
                          inner=layer.backward):
-                out = inner(g, ctx, cache, input_grad)
-                grads[layer.index] = (g.data, out.data)
+                out = array(inner(g, ctx, cache, input_grad))
+                grads[layer.index] = (g, out)
                 return out
+            monkeypatch.setattr(layer, "forward", forward)
             monkeypatch.setattr(layer, "backward", backward)
         monkeypatch.setattr(netgraph, "_quantize", quantize)
         monkeypatch.setattr(netgraph, "quantize_tensor", recording)
-        _, tape = net.forward(x, train=True)
+        _, tape = net.forward(x, train=train)
         n_forward = len(calls)
         stats = QuantStats()
         net.backward(tape, dy, stats=stats)
@@ -798,10 +843,10 @@ class TestSelectionPassThrough:
     def test_selections_are_not_quantized_again(self, policy, monkeypatch):
         fwd, bwd, _, _, _ = self.run(self.selecting(), policy, monkeypatch)
         # The network input and the conv and dense outputs; the ReLU,
-        # pool and flatten outputs keep their tag.
+        # pool and flatten outputs are exact.
         assert fwd == [("conv", "act"), ("conv", "act"), ("gemm", "act")]
         # The gradients entering dense and flatten; those that flatten,
-        # the pool and the ReLU pass back keep their tag.
+        # the pool and the ReLU pass back are exact.
         assert bwd == [("eltwise", "err"), ("gemm", "err")]
 
     @pytest.mark.parametrize("policy", [QuantPolicy(Precision.BF16),
@@ -812,8 +857,8 @@ class TestSelectionPassThrough:
                                      monkeypatch)
         assert fwd == sorted([("conv", "act"), ("conv", "act"),
                               ("pool", "act"), ("gemm", "act")])
-        # Flatten passes its gradient to the avg pool with its tag; the
-        # avg pool's is quantized on entering the conv.
+        # Flatten passes its exact gradient to the avg pool; the avg
+        # pool's is quantized on entering the conv.
         assert bwd == sorted([("gemm", "err"), ("eltwise", "err"),
                               ("conv", "err")])
 
@@ -829,8 +874,8 @@ class TestSelectionPassThrough:
         before = {i: grads[i + 1][1] if i + 1 in grads else dy
                   for i in grads}
         # Counted: the gradients entering dense (4) and flatten (3), and
-        # those the ReLU (into 0) and the pool (into 1) pass back with
-        # their tag.  Flatten's pass-through into the pool (2) is not.
+        # those the ReLU (into 0) and the pool (into 1) pass back exact.
+        # Flatten's pass-through into the pool (2) is not.
         counted = (4, 3, 1, 0)
         nonzero = sum(int(np.count_nonzero(before[i])) for i in counted)
         zeroed = sum(int(np.count_nonzero((before[i] != 0)
@@ -845,3 +890,30 @@ class TestSelectionPassThrough:
             q = quantize_array(before[i], precision)
             assert np.array_equal(q.view(np.uint32),
                                   before[i].view(np.uint32))
+
+    @pytest.mark.parametrize("policy", [QuantPolicy(Precision.BF16),
+                                        QuantPolicy(Precision.FP16)],
+                             ids=["bf16", "fp16"])
+    def test_returned_inputs_are_not_quantized_again(self, policy,
+                                                     monkeypatch):
+        fwd, bwd, stats, dy, grads = self.run(self.passing_through(), policy,
+                                              monkeypatch, train=False)
+        # The network input, the conv, sum and dense outputs; the input
+        # the Dropout returns and the ReLU and flatten outputs are exact.
+        assert fwd == sorted([("conv", "act"), ("conv", "act"),
+                              ("eltwise", "act"), ("gemm", "act")])
+        # The gradients entering dense and flatten, and the sum of the
+        # ReLU's exact gradient and the skip gradient, which is new
+        # arithmetic, entering the Dropout.  The gradient the EltwiseAdd
+        # passes back enters the ReLU as it is, and the one the Dropout
+        # passes back enters the conv.
+        assert bwd == sorted([("gemm", "err"), ("eltwise", "err"),
+                              ("dropout", "err")])
+        assert grads[2][0] is grads[3][1] and grads[0][0] is grads[1][1]
+        # Only the three quantized gradients are counted: those entering
+        # dense (5), flatten (4) and the Dropout (1), before quantization.
+        before = {5: dy, 4: grads[5][1], 1: grads[2][1] + grads[3][1]}
+        nonzero = sum(int(np.count_nonzero(b)) for b in before.values())
+        zeroed = sum(int(np.count_nonzero((b != 0) & (grads[i][0] == 0)))
+                     for i, b in before.items())
+        assert (stats.nonzero, stats.zeroed) == (nonzero, zeroed)
