@@ -5,9 +5,9 @@ BFLOAT16 is the top 16 bits of the FP32 encoding (1 sign, 8 exponent,
 adds 0x7FFF plus the lowest kept bit to the FP32 pattern before the
 shift.  bf16 has no subnormals: a result below the minimum normal
 flushes to signed zero.  FP16 is standard IEEE binary16 with subnormal
-support; narrowing to it is NumPy's float32 -> float16 cast, which
-rounds to nearest even exactly, and truncation steps that result back
-by one ulp where it rounded away from zero.
+support.  Narrowing to it divides each value by the fp16 quantum of its
+binade, rounds the quotient to an integer (ties to even, or toward
+zero) and multiplies back; in FP32 each of these steps is exact.
 
 `Precision` names the three formats.  Quantized values are kept as FP32
 floats whose low mantissa bits are zero; the ``*_array`` functions take
@@ -134,32 +134,76 @@ def bf16_to_f32_array(bits) -> np.ndarray:
     return (b << np.uint32(16)).view(np.float32).reshape(np.shape(bits))
 
 
+# NumPy scalars of the fp16 path, built once: building one costs about a
+# tenth of a small array operation, and an fp16 step narrows many small
+# arrays.
+_F32_EXP = np.uint32(0x7F800000)
+_FP16_MIN_NORMAL = np.float32(2.0 ** -14)
+_TEN_BINADES = np.uint32(10 << 23)
+
+
+def _fp16_values(x, mode: RoundingMode) -> np.ndarray:
+    """x narrowed to binary16, as FP32 values shaped like x.
+
+    The quantum of |x| < 2^-14 is the subnormal step 2^-24; above, it is
+    2^-10 times the power of two of x's binade.  So q keeps x's exponent
+    field, raised to that of 2^-14, less 10, and x / q rounded to an
+    integer, times q, is the result: both scalings are by powers of two
+    and exact, and a rounding that carries into the next binade lands
+    on its power of two.  Holds the result and q, nothing else of full
+    size, unless some |x| is 2^15 or more."""
+    f = np.ascontiguousarray(x, dtype=np.float32)
+    q = f.view(np.uint32) & _F32_EXP
+    special = None
+    if f.size and np.maximum.reduce(q, None) >= 0x47000000:
+        # Some |x| >= 2^15, inf or NaN.  For |x| >= 65520 (the tie of
+        # 65504 and 2^16) a table gives the result: top for finite x, inf
+        # for infinite x, the quiet NaN for NaN.  Those inputs become
+        # zeros of their sign, so the arithmetic below never overflows or
+        # meets a NaN, and the entry is or-ed into the result (0 for
+        # every other x).
+        bits = f.view(np.uint32)
+        mag = bits & np.uint32(0x7FFFFFFF)
+        inf, qnan = np.uint32(0x7F800000), np.uint32(0x7FC00000)
+        over = mag >= np.uint32(0x477FF000)
+        kind = over.view(np.uint8) + (mag >= inf) + (mag > inf)  # 0 to 3
+        top = inf if mode is RoundingMode.NEAREST_EVEN \
+            else np.uint32(0x477FE000)  # 65504: truncation stays finite
+        special = np.array([0, top, inf, qnan], np.uint32)[kind]
+        mag *= over
+        f = (bits ^ mag).view(np.float32)
+    qf = q.view(np.float32)
+    np.maximum(qf, _FP16_MIN_NORMAL, out=qf)
+    q -= _TEN_BINADES
+    r = f / qf
+    if mode is RoundingMode.NEAREST_EVEN:
+        np.rint(r, out=r)
+    else:
+        np.trunc(r, out=r)
+    r *= qf
+    if special is not None:
+        r.view(np.uint32)[...] |= special
+    return r.reshape(np.shape(x))
+
+
 def f32_to_fp16_array(
     x, mode: RoundingMode = RoundingMode.NEAREST_EVEN
 ) -> np.ndarray:
     """Convert FP32 values to IEEE binary16 bit patterns (uint16).
 
-    NEAREST_EVEN is NumPy's IEEE float32 -> float16 cast: ties to even,
-    subnormal results kept, overflow to infinity.  TRUNCATE steps that
-    result back by one ulp wherever it rounded away from zero, so
-    overflow saturates to the maximum finite value (round toward zero
-    never leaves the finite range).  NaN inputs map to the canonical
-    quiet NaN with the sign preserved.
+    NEAREST_EVEN rounds with ties to even and overflows to infinity;
+    TRUNCATE rounds toward zero, so finite overflow saturates to the
+    maximum finite value, 65504.  Subnormal results are kept.  NaN
+    inputs map to the canonical quiet NaN with the sign preserved.
+    The values are those of `quantize_array`; scaled by 2^-112 they
+    take FP32's exponent bias and fp16 subnormals become FP32 ones, so
+    bits 13 to 27 of that pattern and its sign are the fp16 pattern.
     """
-    f = np.ascontiguousarray(x, dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = f.astype(np.float16)
-    out = h.view(np.uint16)
-    if mode is RoundingMode.TRUNCATE:
-        # Sign-magnitude encoding: one less is one ulp toward zero, and
-        # infinity minus one is the maximum finite value.
-        away = np.abs(h.astype(np.float32)) > np.abs(f)
-        out = out - away.astype(np.uint16)
-    is_nan = np.isnan(f)
-    if np.any(is_nan):
-        sign = (f.view(np.uint32)[is_nan] >> np.uint32(16)).astype(np.uint16)
-        out[is_nan] = (sign & np.uint16(0x8000)) | np.uint16(0x7E00)
-    return out.reshape(np.shape(x))
+    v = _fp16_values(x, mode).reshape(-1) * np.float32(2.0 ** -112)
+    b = v.view(np.uint32)
+    h = (b >> np.uint32(16)) & np.uint32(0x8000)
+    h |= (b >> np.uint32(13)) & np.uint32(0x7FFF)
+    return h.astype(np.uint16).reshape(np.shape(x))
 
 
 def fp16_to_f32_array(bits) -> np.ndarray:
@@ -178,5 +222,5 @@ def quantize_array(x, precision: Precision,
     if precision is Precision.BF16:
         return _bf16_pattern(x, mode).view(np.float32)
     if precision is Precision.FP16:
-        return fp16_to_f32_array(f32_to_fp16_array(x, mode))
+        return _fp16_values(x, mode)
     return np.array(x, dtype=np.float32, order="C")

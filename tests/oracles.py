@@ -10,9 +10,10 @@ path:
   intermediate is exactly representable in float64, so it is exact too,
   and fast enough for 1e7-point sweeps.
 
-`gemm_loop` is the ordered FP32 GEMM one k step at a time, and the
-`conv2d_*_nchw` functions lower a convolution to it in NCHW, with the
-window matrices' columns in (n, i, j) order.
+`fp16_boundary_bits` is a sweep of FP32 patterns around every fp16
+rounding boundary.  `gemm_loop` is the ordered FP32 GEMM one k step at
+a time, and the `conv2d_*_nchw` functions lower a convolution to it in
+NCHW, with the window matrices' columns in (n, i, j) order.
 """
 
 from __future__ import annotations
@@ -119,6 +120,28 @@ def round_vectorized(x: np.ndarray, fmt: OracleFormat,
     res = np.where(res == 0, np.copysign(0.0, v), res)
     out[~special] = res
     return out
+
+
+def fp16_boundary_bits() -> np.ndarray:
+    """FP32 patterns on and around every fp16 rounding boundary, (N, 6).
+
+    Every exponent from 2^-26 to 2^17, and the all-ones one (infinity and
+    NaN), both signs, every top-10-bit mantissa.  The bits below the fp16
+    quantum (13 for normal results, up to the whole mantissa for
+    subnormal ones) are 0, 1, half-1, half, half+1 and all-ones in the
+    six columns.  552960 patterns.
+    """
+    exps = np.r_[np.arange(101, 145), 255].astype(np.uint32)
+    drop = np.clip(126 - exps.astype(np.int64), 13, 23).astype(np.uint32)
+    half = np.uint32(1) << (drop - np.uint32(1))
+    low = np.stack([np.zeros_like(half), np.ones_like(half), half - 1, half,
+                    half + 1, 2 * half - 1], axis=1)
+    kept = ~(2 * half - 1)
+    tops = np.arange(1024, dtype=np.uint32) << np.uint32(13)
+    bits = ((exps << np.uint32(23))[:, None, None]
+            | (tops[None, :, None] & kept[:, None, None])
+            | low[:, None, :])
+    return np.concatenate([bits, bits | np.uint32(0x80000000)]).reshape(-1, 6)
 
 
 def gemm_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:

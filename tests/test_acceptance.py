@@ -13,6 +13,7 @@ import pytest
 
 from bf16emu import cli
 from bf16emu.harness import (
+    ExperimentConfig,
     compare_runs,
     config_from_mapping,
     configs_differ_only_in,
@@ -38,6 +39,8 @@ from bf16emu.numerics import (
     fp16_to_f32_array,
 )
 from bf16emu.tensor import QuantPolicy, RngStream, load_tensor
+
+from controls import Bf16Masters
 
 from oracles import BF16_FTZ, FP16, round_exact, round_vectorized
 from test_kernels import (assert_grads_close, conv_bwd, conv_fwd, fd_grad,
@@ -309,6 +312,23 @@ def test_criterion_07_bf16_parity_classification(tmp_path):
     report(7, "bf16-rne parity on mlp-circles and conv-digits", ok,
            f"acc gaps {acc_gap_mlp:.4f}/{acc_gap_cnn:.4f}, "
            f"loss rel {loss_rel_mlp:.4f}/{loss_rel_cnn:.4f}")
+
+
+def test_criterion_07_loss_bound_rejects_bf16_masters(tmp_path,
+                                                      monkeypatch):
+    # Negative control: the mlp-circles bf16 arm with every master rounded
+    # to bf16 after each step, i.e. with no FP32 master, must fail
+    # criterion 7's 2% train-loss bound.
+    f32 = run_arm(load_cfg("mlp-circles", tmp_path, "fp32")).final
+    make_optimizer = ExperimentConfig.make_optimizer
+    monkeypatch.setattr(ExperimentConfig, "make_optimizer",
+                        lambda cfg: Bf16Masters(make_optimizer(cfg)))
+    ctl = run_arm(load_cfg("mlp-circles", tmp_path, "bf16-masters",
+                           precision="bf16")).final
+    loss_rel = abs(f32.loss - ctl.loss) / abs(f32.loss)
+    report(7, "2% loss bound rejects mlp-circles with bf16 masters",
+           loss_rel > 0.02, f"loss {f32.loss:.5f} vs {ctl.loss:.5f}, "
+           f"rel {loss_rel:.4f}")
 
 
 def test_criterion_08_lstm_parity(tmp_path):

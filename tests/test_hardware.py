@@ -1,10 +1,12 @@
-"""The emulator against this host's own BF16 instructions.
+"""The emulator against this host's own BF16 and F16C instructions.
 
-A small C file is built with gcc and called through ctypes:
-``VDPBF16PS`` (a bf16 dot product with FP32 accumulation) and
-``VCVTNEPS2BF16`` (FP32 to bf16, round to nearest even).  Both are
+Small C files are built with gcc and called through ctypes:
+``VDPBF16PS`` (a bf16 dot product with FP32 accumulation),
+``VCVTNEPS2BF16`` (FP32 to bf16, round to nearest even) and
+``VCVTPS2PH`` (FP32 to binary16, round to nearest even).  Each is
 compared bit for bit; the known differences are pinned as exact sets.
-Without gcc or the ``avx512_bf16`` CPU flag the module skips.
+Without gcc, or without the ``avx512_bf16`` or ``f16c`` CPU flag, the
+tests that need it skip.
 """
 
 import ctypes
@@ -16,7 +18,10 @@ import numpy as np
 import pytest
 
 from bf16emu.kernels import _gemm
-from bf16emu.numerics import RoundingMode, f32_to_bf16_array
+from bf16emu.numerics import (RoundingMode, f32_to_bf16_array,
+                              f32_to_fp16_array)
+
+from oracles import fp16_boundary_bits
 
 _C_SOURCE = r"""
 #include <immintrin.h>
@@ -45,38 +50,69 @@ void cvt(const float *x, uint16_t *y, long n)
 }
 """
 
+_F16C_SOURCE = r"""
+#include <immintrin.h>
+#include <stdint.h>
+
+/* VCVTPS2PH, round to nearest even.  n must be a multiple of 8. */
+void cvt_ph(const float *x, uint16_t *y, long n)
+{
+    for (long i = 0; i < n; i += 8) {
+        __m128i r = _mm256_cvtps_ph(_mm256_loadu_ps(x + i),
+                                    _MM_FROUND_TO_NEAREST_INT);
+        _mm_storeu_si128((__m128i *)(y + i), r);
+    }
+}
+"""
+
 LANES = 16
 
 
-def _cpu_has_avx512_bf16() -> bool:
+def _cpu_has(flag: str) -> bool:
     try:
         text = Path("/proc/cpuinfo").read_text()
     except OSError:
         return False
-    return any(line.startswith("flags") and "avx512_bf16" in line.split()
+    return any(line.startswith("flags") and flag in line.split()
                for line in text.splitlines())
+
+
+def _build(tmp_path_factory, name: str, source: str, flags: list[str]):
+    if shutil.which("gcc") is None:
+        pytest.skip("gcc not found")
+    tmp = tmp_path_factory.mktemp(name)
+    src = tmp / f"{name}.c"
+    so = tmp / f"{name}.so"
+    src.write_text(source)
+    subprocess.run(["gcc", "-O2", *flags, "-shared", "-fPIC", "-o", str(so),
+                    str(src)], check=True, capture_output=True, timeout=120)
+    return ctypes.CDLL(str(so))
 
 
 @pytest.fixture(scope="module")
 def lib(tmp_path_factory):
-    if shutil.which("gcc") is None:
-        pytest.skip("gcc not found")
-    if not _cpu_has_avx512_bf16():
+    if not _cpu_has("avx512_bf16"):
         pytest.skip("CPU lacks the avx512_bf16 flag")
-    tmp = tmp_path_factory.mktemp("bf16hw")
-    src = tmp / "bf16hw.c"
-    so = tmp / "bf16hw.so"
-    src.write_text(_C_SOURCE)
-    subprocess.run(["gcc", "-O2", "-mavx512f", "-mavx512bf16", "-shared",
-                    "-fPIC", "-o", str(so), str(src)],
-                   check=True, capture_output=True, timeout=120)
-    handle = ctypes.CDLL(str(so))
+    handle = _build(tmp_path_factory, "bf16hw", _C_SOURCE,
+                    ["-mavx512f", "-mavx512bf16"])
     u16p = ctypes.POINTER(ctypes.c_uint16)
     f32p = ctypes.POINTER(ctypes.c_float)
     handle.dot16.argtypes = [u16p, u16p, ctypes.c_int, f32p]
     handle.dot16.restype = None
     handle.cvt.argtypes = [f32p, u16p, ctypes.c_long]
     handle.cvt.restype = None
+    return handle
+
+
+@pytest.fixture(scope="module")
+def f16c(tmp_path_factory):
+    if not _cpu_has("f16c"):
+        pytest.skip("CPU lacks the f16c flag")
+    handle = _build(tmp_path_factory, "f16chw", _F16C_SOURCE,
+                    ["-mavx", "-mf16c"])
+    handle.cvt_ph.argtypes = [ctypes.POINTER(ctypes.c_float),
+                              ctypes.POINTER(ctypes.c_uint16), ctypes.c_long]
+    handle.cvt_ph.restype = None
     return handle
 
 
@@ -172,3 +208,30 @@ def test_conversion_differs_only_on_nan_and_subnormal_round_up(lib):
     differ = np.flatnonzero(hw != emu)
     assert np.array_equal(differ, np.flatnonzero(quieted | zeroed))
     assert np.count_nonzero(quieted) > 1000 and np.count_nonzero(zeroed) > 10
+
+
+def test_fp16_conversion_differs_only_in_nan_payloads(f16c):
+    rng = np.random.default_rng(20193)
+    bits = np.concatenate([fp16_boundary_bits().ravel(),
+                           rng.integers(0, 2 ** 32, 1 << 20,
+                                        dtype=np.uint32)])
+    x = bits.view(np.float32)
+    assert x.size % 8 == 0
+    hw = np.empty(x.size, np.uint16)
+    f16c.cvt_ph(_ptr(x, ctypes.c_float), _ptr(hw, ctypes.c_uint16), x.size)
+    emu = f32_to_fp16_array(x, RoundingMode.NEAREST_EVEN)
+
+    # The instruction sets a NaN's quiet bit and keeps the top 10 bits of
+    # its mantissa; the emulator gives the quiet NaN of its sign, 0x7E00.
+    nan = np.isnan(x)
+    payload = ((bits >> 13) & 0x01FF).astype(np.uint16)
+    expected = emu.copy()
+    expected[nan] |= payload[nan]
+
+    assert np.array_equal(hw, expected)
+    differ = np.flatnonzero(hw != emu)
+    assert np.array_equal(differ, np.flatnonzero(nan & (payload != 0)))
+    assert differ.size > 10_000
+    # Subnormal results are among the equal ones.
+    sub = ((emu & 0x7C00) == 0) & ((emu & 0x03FF) != 0)
+    assert np.count_nonzero(sub) > 50_000

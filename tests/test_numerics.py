@@ -17,7 +17,8 @@ from bf16emu.numerics import (
     quantize_array,
 )
 
-from oracles import BF16_FTZ, FP16, round_exact, round_vectorized
+from oracles import (BF16_FTZ, FP16, fp16_boundary_bits, round_exact,
+                     round_vectorized)
 
 RNE = RoundingMode.NEAREST_EVEN
 TRUNC = RoundingMode.TRUNCATE
@@ -112,14 +113,23 @@ class TestFp16Conversion:
 
     def test_nan_canonical(self):
         assert f32_to_fp16_array(float("nan"), RNE) == 0x7E00
+
     def test_overflow_nan_and_underflow_raise_no_warning(self):
-        x = np.float32([65520.0, 1e30, -np.inf, np.nan, 1e-30])
-        want = {RNE: [0x7C00, 0x7C00, 0xFC00, 0x7E00, 0x0000],
-                TRUNC: [0x7BFF, 0x7BFF, 0xFC00, 0x7E00, 0x0000]}
+        x = np.float32([65520.0, 1e30, -np.inf, np.nan, 1e-30, -1e-30,
+                        0.0, 3.0e38])
+        x.view(np.uint32)[6] = 0x7F800001  # a signalling NaN
+        want = {RNE: [0x7C00, 0x7C00, 0xFC00, 0x7E00, 0x0000, 0x8000,
+                      0x7E00, 0x7C00],
+                TRUNC: [0x7BFF, 0x7BFF, 0xFC00, 0x7E00, 0x0000, 0x8000,
+                        0x7E00, 0x7BFF]}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for mode, bits in want.items():
                 assert f32_to_fp16_array(x, mode).tolist() == bits
+                got = quantize_array(x, Precision.FP16, mode)
+                assert np.array_equal(
+                    got.view(np.uint32),
+                    fp16_to_f32_array(np.uint16(bits)).view(np.uint32))
 
     @pytest.mark.parametrize("mode", [RNE, TRUNC])
     @pytest.mark.parametrize("bits", [
@@ -153,6 +163,36 @@ class TestFp16Conversion:
         got = fp16_to_f32_array(out)
         want = round_vectorized(x, FP16, mode.value).astype(np.float32)
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        q = quantize_array(x, Precision.FP16, mode)
+        assert np.array_equal(q.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("mode", [RNE, TRUNC])
+    def test_zero_d_empty_and_strided_inputs(self, mode):
+        rng = np.random.default_rng(9)
+        mag = 2.0 ** rng.uniform(-30, 20, size=(24, 40))
+        x = (mag * rng.choice([-1.0, 1.0], size=mag.shape)).astype(np.float32)
+        x[3, ::4] = np.nan
+        inputs = [np.asfortranarray(x), x.T, x[::-2, 1::3], x[5, 7],
+                  np.float32(-1e-6), -3.0e-8, x[:0], np.empty((0, 4),
+                                                              np.float32)]
+        for a in inputs:
+            q = quantize_array(a, Precision.FP16, mode)
+            h = f32_to_fp16_array(a, mode)
+            assert isinstance(q, np.ndarray) and isinstance(h, np.ndarray)
+            assert q.shape == h.shape == np.shape(a)
+            assert q.dtype == np.float32 and q.flags.c_contiguous
+            assert h.dtype == np.uint16
+            assert np.array_equal(fp16_to_f32_array(h).view(np.uint32),
+                                  q.view(np.uint32))
+            v = np.asarray(a, np.float32)
+            nan = np.isnan(v)
+            want = round_vectorized(v[~nan], FP16, mode.value)
+            assert np.array_equal(q[~nan].view(np.uint32),
+                                  want.astype(np.float32).view(np.uint32))
+            assert np.array_equal(q[nan].view(np.uint32),
+                                  (v[nan].view(np.uint32)
+                                   & np.uint32(0x80000000))
+                                  | np.uint32(0x7FC00000))
 
 
 class TestQuantizeScalar:
@@ -294,6 +334,29 @@ class TestOracleAgreement:
         lost = (top & np.uint32(0x007F0000)) == 0
         want_nan = np.where(lost, (top & np.uint32(0x80000000))
                             | np.uint32(0x7FC00000), top)
+        assert np.array_equal(got_bits[nan], want_nan)
+
+    @pytest.mark.parametrize("mode", [RNE, TRUNC], ids=["rne", "trunc"])
+    def test_fp16_boundary_patterns_vs_vectorized_oracle(self, mode):
+        # oracles.fp16_boundary_bits: 552960 patterns on and around every
+        # fp16 rounding boundary from 2^-26 to 2^17, plus inf and NaN.
+        # quantize_array and f32_to_fp16_array share one narrowing; both
+        # are checked.
+        bits = fp16_boundary_bits()
+        x = bits.view(np.float32)
+        got = quantize_array(x, Precision.FP16, mode)
+        assert got.shape == x.shape and got.dtype == np.float32
+        got_bits = got.view(np.uint32)
+        packed = fp16_to_f32_array(f32_to_fp16_array(x, mode))
+        assert np.array_equal(packed.view(np.uint32), got_bits)
+        nan = np.isnan(x)
+        assert np.count_nonzero(nan) > 10_000
+        want = round_vectorized(x[~nan], FP16, mode.value)
+        assert np.array_equal(got_bits[~nan],
+                              want.astype(np.float32).view(np.uint32))
+        # NaN: the quiet NaN of its sign, the fp16 0x7E00 widened.
+        want_nan = (bits[nan] & np.uint32(0x80000000)) \
+            | np.uint32(0x7FC00000)
         assert np.array_equal(got_bits[nan], want_nan)
 
     def test_numpy_float16_cast_agrees(self):
