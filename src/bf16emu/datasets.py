@@ -21,7 +21,6 @@ TASKS = ("mlp-circles", "conv-digits", "lstm-sine", "logistic-ctr")
 
 @dataclass
 class Dataset:
-    task: str
     train_x: np.ndarray
     train_y: np.ndarray
     eval_x: np.ndarray
@@ -60,7 +59,7 @@ def _circles(seed: int) -> Dataset:
     rng = RngStream(seed, 101)
     tx, ty = _circles_split(rng.child(0).generator(), 4096)
     ex, ey = _circles_split(rng.child(1).generator(), 1024)
-    return Dataset("mlp-circles", tx, ty, ex, ey, "accuracy")
+    return Dataset(tx, ty, ex, ey, "accuracy")
 
 
 _DIGIT_TEMPLATES = None
@@ -97,7 +96,7 @@ def _digits(seed: int) -> Dataset:
     rng = RngStream(seed, 202)
     tx, ty = _digits_split(rng.child(0).generator(), 4096)
     ex, ey = _digits_split(rng.child(1).generator(), 1024)
-    return Dataset("conv-digits", tx, ty, ex, ey, "accuracy")
+    return Dataset(tx, ty, ex, ey, "accuracy")
 
 
 def _sine_split(gen, n, length=32):
@@ -114,7 +113,7 @@ def _sine(seed: int) -> Dataset:
     rng = RngStream(seed, 303)
     tx, ty = _sine_split(rng.child(0).generator(), 2048)
     ex, ey = _sine_split(rng.child(1).generator(), 512)
-    return Dataset("lstm-sine", tx, ty, ex, ey, "mse")
+    return Dataset(tx, ty, ex, ey, "mse")
 
 
 def _ctr(seed: int, features: int = 64) -> Dataset:
@@ -136,5 +135,4 @@ def _ctr(seed: int, features: int = 64) -> Dataset:
     eps = 1e-12
     bayes = float(-(ep * np.log(ep + eps)
                     + (1.0 - ep) * np.log(1.0 - ep + eps)).mean())
-    return Dataset("logistic-ctr", tx, ty, ex, ey, "logloss",
-                   bayes_logloss=bayes)
+    return Dataset(tx, ty, ex, ey, "logloss", bayes_logloss=bayes)

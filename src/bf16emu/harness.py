@@ -2,8 +2,10 @@
 
 A run is fully described by an `ExperimentConfig` (flat key=value file,
 CLI overrides win over the file, the file wins over defaults).  Runs are
-deterministic given their config; metrics go to a fixed-schema CSV and
-the final model is dumped in the tensor format with a JSON manifest.
+deterministic given their config; metrics go to a CSV and the final
+model is dumped in the tensor format with a JSON manifest.  The CSV's
+columns are the fields of `MetricsRow`, in order: `CSV_HEADER` lists
+their names, and rows are written and read back through that class.
 """
 
 from __future__ import annotations
@@ -48,11 +50,25 @@ __all__ = [
     "config_from_mapping",
     "run_experiment",
     "compare_runs",
-    "configs_differ_only_in",
 ]
 
-CSV_HEADER = ["epoch", "iter", "loss", "eval_metric",
-              "grad_underflow_frac", "wall_ms"]
+
+@dataclass
+class MetricsRow:
+    """One line of metrics.csv; the fields, in order, are its columns."""
+    epoch: int
+    iter: int
+    loss: float
+    eval_metric: float
+    grad_underflow_frac: float
+    wall_ms: int
+
+    def as_csv(self) -> list[str]:
+        return [str(getattr(self, f.name)) if f.type == "int"
+                else repr(float(getattr(self, f.name))) for f in fields(self)]
+
+
+CSV_HEADER = [f.name for f in fields(MetricsRow)]
 
 # The legal `precision` and `rounding` strings, in declaration order.
 PRECISIONS = [p.value for p in Precision]
@@ -123,12 +139,14 @@ class ExperimentConfig:
             self.make_optimizer()
         except ValueError as exc:
             raise ConfigError(f"{self.optimizer}: {exc}") from None
-        if self.loss_scale <= 0 or not math.log2(self.loss_scale).is_integer():
-            raise ConfigError("loss_scale must be a positive power of two")
         # The hyper-parameter-free claim: only the FP16 arm may scale.
         if self.precision in ("fp32", "bf16") and self.loss_scale != 1.0:
             raise ConfigError(
                 f"{self.precision} runs must keep loss_scale = 1")
+        try:
+            LossScaler(self.loss_scale)
+        except ValueError as exc:
+            raise ConfigError(f"loss_scale: {exc}") from None
         if self.policy_overrides:
             raise ConfigError(
                 "policy_overrides is not supported: which tensors are "
@@ -194,21 +212,6 @@ def config_from_mapping(mapping: dict,
     return replace(cfg, **updates).validate()
 
 
-def configs_differ_only_in(configs, allowed: set[str]) -> bool:
-    """True when all configs agree on every field outside ``allowed``.
-
-    ``out`` is always allowed to differ (arms write to disjoint folders)."""
-    allowed = set(allowed) | {"out"}
-    ref = configs[0]
-    for cfg in configs[1:]:
-        for f in fields(ExperimentConfig):
-            if f.name in allowed:
-                continue
-            if getattr(cfg, f.name) != getattr(ref, f.name):
-                return False
-    return True
-
-
 # --------------------------------------------------------------------------
 # networks and losses per task
 # --------------------------------------------------------------------------
@@ -243,25 +246,29 @@ def _loss_and_grad(task_metric: str, output: np.ndarray, labels):
         loss, d = softmax_cross_entropy(output, labels)
     elif task_metric == "mse":
         y = np.asarray(labels, np.float32).reshape(-1)
-        diff = (z - y).astype(np.float32)
+        diff = z - y
         loss = float((diff * diff).mean(dtype=np.float32))
-        d = (np.float32(2.0 / n) * diff).astype(np.float32)
+        d = np.float32(2.0 / n) * diff
     elif task_metric == "logloss":
         y = np.asarray(labels, np.float32).reshape(-1)
         p = _sigmoid(z)
         loss = binary_log_loss(p, y)
-        d = ((p - y) / np.float32(n)).astype(np.float32)
+        d = (p - y) / np.float32(n)
     else:
         raise ConfigError(f"unknown metric {task_metric!r}")
     return loss, d.reshape(output.shape)
 
 
-def _eval_metric(net: Network, ds: Dataset, batch: int = 512) -> float:
+# Evaluation and the full training loss run inference in batches this big.
+_EVAL_BATCH = 512
+
+
+def _eval_metric(net: Network, ds: Dataset) -> float:
     """The dataset's evaluation metric on the eval split, in eval mode."""
     outs = []
     n = ds.eval_x.shape[0]
-    for lo in range(0, n, batch):
-        outs.append(net.infer(ds.eval_x[lo:lo + batch]))
+    for lo in range(0, n, _EVAL_BATCH):
+        outs.append(net.infer(ds.eval_x[lo:lo + _EVAL_BATCH]))
     out = np.concatenate(outs, axis=0)
     if ds.metric == "accuracy":
         pred = out.argmax(axis=1)
@@ -269,13 +276,13 @@ def _eval_metric(net: Network, ds: Dataset, batch: int = 512) -> float:
     return _loss_and_grad(ds.metric, out, ds.eval_y)[0]
 
 
-def _train_loss_full(net: Network, ds: Dataset, tx, ty,
-                     batch: int = 512) -> float:
+def _train_loss_full(net: Network, ds: Dataset, tx, ty) -> float:
     total = 0.0
     count = 0
-    for lo in range(0, tx.shape[0], batch):
-        x = tx[lo:lo + batch]
-        loss, _ = _loss_and_grad(ds.metric, net.infer(x), ty[lo:lo + batch])
+    for lo in range(0, tx.shape[0], _EVAL_BATCH):
+        x = tx[lo:lo + _EVAL_BATCH]
+        loss, _ = _loss_and_grad(ds.metric, net.infer(x),
+                                 ty[lo:lo + _EVAL_BATCH])
         total += loss * x.shape[0]
         count += x.shape[0]
     return total / count
@@ -287,28 +294,11 @@ def _train_loss_full(net: Network, ds: Dataset, tx, ty,
 
 
 @dataclass
-class MetricsRow:
-    epoch: int
-    iter: int
-    loss: float
-    eval_metric: float
-    grad_underflow_frac: float
-    wall_ms: int
-
-    def as_csv(self) -> list[str]:
-        return [str(self.epoch), str(self.iter), repr(float(self.loss)),
-                repr(float(self.eval_metric)),
-                repr(float(self.grad_underflow_frac)), str(self.wall_ms)]
-
-
-@dataclass
 class RunResult:
     config: ExperimentConfig
     rows: list[MetricsRow]
     csv_path: Path
     summary_path: Path
-    diverged: bool
-    diverged_iteration: int | None = None
 
     @property
     def final(self) -> MetricsRow:
@@ -442,11 +432,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    result = RunResult(cfg, rows, csv_path, summary_path,
-                       diverged_at is not None, diverged_at)
     if diverged_at is not None:
         raise DivergenceError(diverged_at)
-    return result
+    return RunResult(cfg, rows, csv_path, summary_path)
 
 
 # --------------------------------------------------------------------------
@@ -459,7 +447,7 @@ class ArmSummary:
     name: str
     final_loss: float
     final_metric: float
-    rows: list[dict]
+    rows: list[MetricsRow]
 
 
 @dataclass
@@ -471,7 +459,7 @@ class RunSummary:
     reference: float | None = None
 
 
-def _read_metrics_csv(path) -> list[dict]:
+def _read_metrics_csv(path) -> list[MetricsRow]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -484,12 +472,8 @@ def _read_metrics_csv(path) -> list[dict]:
         for rec in reader:
             if len(rec) != len(CSV_HEADER):
                 raise SchemaError(f"{path}: ragged row {rec}")
-            rows.append({
-                "epoch": int(rec[0]), "iter": int(rec[1]),
-                "loss": float(rec[2]), "eval_metric": float(rec[3]),
-                "grad_underflow_frac": float(rec[4]),
-                "wall_ms": int(rec[5]),
-            })
+            rows.append(MetricsRow(*(
+                _PARSERS[f.type](v) for f, v in zip(fields(MetricsRow), rec))))
     if not rows:
         raise SchemaError(f"{path}: no metric rows")
     return rows
@@ -504,14 +488,14 @@ def compare_runs(csv_paths, out_dir=None,
     for path in csv_paths:
         rows = _read_metrics_csv(path)
         name = Path(path).parent.name or Path(path).stem
-        arms.append(ArmSummary(name, rows[-1]["loss"],
-                               rows[-1]["eval_metric"], rows))
+        arms.append(ArmSummary(name, rows[-1].loss, rows[-1].eval_metric,
+                               rows))
     base = arms[0]
     max_gap = {}
     loss_gap = {}
     for arm in arms[1:]:
         common = min(len(base.rows), len(arm.rows))
-        gap = max(abs(base.rows[i]["eval_metric"] - arm.rows[i]["eval_metric"])
+        gap = max(abs(base.rows[i].eval_metric - arm.rows[i].eval_metric)
                   for i in range(common))
         max_gap[arm.name] = gap
         denom = abs(base.final_loss) or 1.0

@@ -1,7 +1,10 @@
 """Forward/backward compute primitives with widened accumulation.
 
 Every kernel takes plain float32 NumPy arrays, returns arrays (a loss
-also returns its value as a float) and accumulates in FP32.  Which of
+also returns its value as a float) and accumulates in FP32.  No kernel
+re-casts its inputs or results to float32: NumPy keeps float32 through
+float32 operands and Python scalars, so the caller's dtype is the
+contract (only the dropout mask is cast, from bool).  Which of
 those arrays hold values exact in a 16-bit format, and where they are
 rounded, is decided by the network around the kernels; no kernel
 quantizes, and none knows the policy.  So the LSTM
@@ -292,11 +295,11 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         raise ShapeError("batchnorm needs at least 2 samples per channel")
     mean = x.mean(axis=axes, dtype=np.float32)
     var = x.var(axis=axes, dtype=np.float32)
-    inv_std = (1.0 / np.sqrt(var + np.float32(eps))).astype(np.float32)
+    inv_std = 1.0 / np.sqrt(var + np.float32(eps))
     xhat = (x - expand(mean)) * expand(inv_std)
     y = xhat * expand(gamma) + expand(beta)
     cache = (x, xhat, inv_std, expand, axes, count)
-    return y.astype(np.float32), cache
+    return y, cache
 
 
 def batchnorm_backward(dy: np.ndarray, gamma: np.ndarray, cache):
@@ -311,8 +314,7 @@ def batchnorm_backward(dy: np.ndarray, gamma: np.ndarray, cache):
     term = (dxhat - expand(dxhat.sum(axis=axes, dtype=np.float32)) / m
             - xhat * expand((dxhat * xhat).sum(axis=axes, dtype=np.float32)) / m)
     dx = term * expand(inv_std)
-    return dx.astype(np.float32), dgamma.astype(np.float32), \
-        dbeta.astype(np.float32)
+    return dx, dgamma, dbeta
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +330,7 @@ def _mask(keep: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    return (1.0 / (1.0 + np.exp(-v.astype(np.float32)))).astype(np.float32)
+    return 1.0 / (1.0 + np.exp(-v))
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
@@ -448,15 +450,14 @@ def softmax_cross_entropy(z: np.ndarray, labels):
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError("label index out of range")
     shifted = z - z.max(axis=1, keepdims=True)
-    expz = np.exp(shifted.astype(np.float32))
+    expz = np.exp(shifted)
     probs = (expz / expz.sum(axis=1, keepdims=True, dtype=np.float32))
     logp = shifted - np.log(expz.sum(axis=1, keepdims=True,
                                      dtype=np.float32))
     loss = float(-logp[np.arange(n), labels].mean(dtype=np.float32))
-    d = probs.astype(np.float32)
-    d[np.arange(n), labels] -= np.float32(1)
-    d /= np.float32(n)
-    return loss, d
+    probs[np.arange(n), labels] -= np.float32(1)
+    probs /= np.float32(n)
+    return loss, probs
 
 
 def binary_log_loss(p, y) -> float:
@@ -486,10 +487,10 @@ def lstm_cell_forward(pre: np.ndarray, c_prev: np.ndarray):
                          f"match cell state {c_prev.shape}")
     i = _sigmoid(pre[:, :hsz])
     f = _sigmoid(pre[:, hsz:2 * hsz])
-    g = np.tanh(pre[:, 2 * hsz:3 * hsz]).astype(np.float32)
+    g = np.tanh(pre[:, 2 * hsz:3 * hsz])
     o = _sigmoid(pre[:, 3 * hsz:])
     c = f * c_prev + i * g
-    h = o * np.tanh(c).astype(np.float32)
+    h = o * np.tanh(c)
     return h, c, (c_prev, i, f, g, o, c)
 
 
@@ -497,7 +498,7 @@ def lstm_cell_backward(dh: np.ndarray, dc: np.ndarray, cache):
     """Gradients of one LSTM step with respect to its pre-activations
     and its incoming cell state.  Returns (dpre, dc_prev), both FP32."""
     c_prev, i, f, g, o, c = cache
-    tc = np.tanh(c).astype(np.float32)
+    tc = np.tanh(c)
     do = dh * tc
     dc_total = dc + dh * o * (np.float32(1) - tc * tc)
     di = dc_total * g
@@ -510,5 +511,5 @@ def lstm_cell_backward(dh: np.ndarray, dc: np.ndarray, cache):
         df * f * (one - f),
         dg * (one - g * g),
         do * o * (one - o),
-    ], axis=1).astype(np.float32)
+    ], axis=1)
     return dpre, dc_prev

@@ -76,6 +76,21 @@ def format_limits(precision: Precision) -> FormatLimits:
 # ---------------------------------------------------------------------------
 
 
+# NumPy scalars of the narrowing paths, built once: building one costs
+# about a tenth of a small array operation, and a training step narrows
+# many small arrays.
+_SIXTEEN = np.uint32(16)
+_ONE = np.uint32(1)
+_RNE_BIAS = np.uint32(0x7FFF)
+_HIGH_HALF = np.uint32(0xFFFF0000)
+_SIGN = np.uint32(0x80000000)
+_F32_EXP = np.uint32(0x7F800000)
+_BF16_MANTISSA = np.uint32(0x007F0000)
+_QUIET_NAN = np.uint32(0x7FC00000)
+_FP16_MIN_NORMAL = np.float32(2.0 ** -14)
+_TEN_BINADES = np.uint32(10 << 23)
+
+
 def _bf16_pattern(x, mode: RoundingMode) -> np.ndarray:
     """The FP32 patterns (uint32) of x narrowed to BF16, shaped like x.
 
@@ -89,25 +104,23 @@ def _bf16_pattern(x, mode: RoundingMode) -> np.ndarray:
         # exactly when the discarded half is above 0x8000, or equals it
         # with an odd kept half.  Only NaN patterns can wrap around, and
         # those are replaced below.
-        r = bits >> np.uint32(16)
-        r &= np.uint32(1)
-        r += np.uint32(0x7FFF)
+        r = bits >> _SIXTEEN
+        r &= _ONE
+        r += _RNE_BIAS
         r += bits
     else:
         r = bits.copy()
-    r &= np.uint32(0xFFFF0000)
+    r &= _HIGH_HALF
     # A zero exponent field with a nonzero mantissa is subnormal: flush
     # it to the signed zero (a zero keeps its bits either way).
-    np.bitwise_and(r, np.uint32(0x80000000), out=r,
-                   where=(r & np.uint32(0x7F800000)) == 0)
+    np.bitwise_and(r, _SIGN, out=r, where=(r & _F32_EXP) == 0)
     if f.size and np.isnan(f.max()):
         # Keep the truncated payload when nonzero; a payload that lost
         # all its bits would decode as infinity, so canonicalize it.
         nan = np.isnan(f)
-        kept = bits[nan] & np.uint32(0xFFFF0000)
-        lost = (kept & np.uint32(0x007F0000)) == 0
-        kept[lost] = ((kept[lost] & np.uint32(0x80000000))
-                      | np.uint32(0x7FC00000))
+        kept = bits[nan] & _HIGH_HALF
+        lost = (kept & _BF16_MANTISSA) == 0
+        kept[lost] = (kept[lost] & _SIGN) | _QUIET_NAN
         r[nan] = kept
     return r.reshape(np.shape(x))
 
@@ -124,22 +137,14 @@ def f32_to_bf16_array(
     the sign preserved; subnormal results flush to signed zero.
     """
     r = _bf16_pattern(x, mode)
-    r >>= np.uint32(16)
+    r >>= _SIXTEEN
     return r.astype(np.uint16)
 
 
 def bf16_to_f32_array(bits) -> np.ndarray:
     """Exact widening: BF16 bits become the top 16 bits of an FP32 pattern."""
     b = np.ascontiguousarray(bits, dtype=np.uint16).astype(np.uint32)
-    return (b << np.uint32(16)).view(np.float32).reshape(np.shape(bits))
-
-
-# NumPy scalars of the fp16 path, built once: building one costs about a
-# tenth of a small array operation, and an fp16 step narrows many small
-# arrays.
-_F32_EXP = np.uint32(0x7F800000)
-_FP16_MIN_NORMAL = np.float32(2.0 ** -14)
-_TEN_BINADES = np.uint32(10 << 23)
+    return (b << _SIXTEEN).view(np.float32).reshape(np.shape(bits))
 
 
 def _fp16_values(x, mode: RoundingMode) -> np.ndarray:
@@ -164,7 +169,7 @@ def _fp16_values(x, mode: RoundingMode) -> np.ndarray:
         # every other x).
         bits = f.view(np.uint32)
         mag = bits & np.uint32(0x7FFFFFFF)
-        inf, qnan = np.uint32(0x7F800000), np.uint32(0x7FC00000)
+        inf, qnan = _F32_EXP, _QUIET_NAN
         over = mag >= np.uint32(0x477FF000)
         kind = over.view(np.uint8) + (mag >= inf) + (mag > inf)  # 0 to 3
         top = inf if mode is RoundingMode.NEAREST_EVEN \

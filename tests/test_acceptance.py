@@ -16,7 +16,6 @@ from bf16emu.harness import (
     ExperimentConfig,
     compare_runs,
     config_from_mapping,
-    configs_differ_only_in,
     parse_config_file,
     run_experiment,
     _network_specs,
@@ -40,6 +39,7 @@ from bf16emu.numerics import (
 )
 from bf16emu.tensor import QuantPolicy, RngStream, load_tensor
 
+from arms import configs_differ_only_in
 from controls import Bf16Masters
 
 from oracles import BF16_FTZ, FP16, round_exact, round_vectorized

@@ -12,15 +12,19 @@ from bf16emu.harness import (
     ConfigError,
     DivergenceError,
     ExperimentConfig,
+    MetricsRow,
     SchemaError,
     compare_runs,
     config_from_mapping,
-    configs_differ_only_in,
     parse_config_file,
     run_experiment,
+    _read_metrics_csv,
+    _write_rows,
 )
 from bf16emu.numerics import Precision
 from bf16emu.tensor import load_tensor
+
+from arms import configs_differ_only_in
 
 
 class TestConfigFile:
@@ -308,6 +312,26 @@ class TestCompare:
         good = self.make_run(tmp_path, "ok")
         with pytest.raises(SchemaError):
             compare_runs([good.csv_path, bad])
+
+    def test_rows_read_back_as_written(self, tmp_path):
+        # MetricsRow's fields are the schema: a run's CSV reads back as
+        # its rows, field by field and type by type.  0.1 + 0.2 needs all
+        # 17 significant digits to come back as the same float.
+        r = self.make_run(tmp_path, "rt")
+        loss = 0.1 + 0.2
+        assert float(f"{loss:.16g}") != loss
+        extra = MetricsRow(3, 12, loss, 1 / 3, 2.0 ** -1074, 7)
+        path = tmp_path / "rt.csv"
+        _write_rows(path, r.rows + [extra])
+        assert "0.30000000000000004" in path.read_text()
+        for csv_path, want in ((r.csv_path, r.rows),
+                               (path, r.rows + [extra])):
+            got = _read_metrics_csv(csv_path)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                for f in dataclasses.fields(MetricsRow):
+                    va, vb = getattr(a, f.name), getattr(b, f.name)
+                    assert type(va) is type(vb) and va == vb, f.name
 
     def test_needs_two_runs(self, tmp_path):
         r = self.make_run(tmp_path, "solo")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bf16emu import kernels
+from bf16emu import harness, kernels
 from bf16emu.kernels import (
     PoolKind,
     batchnorm_backward,
@@ -1389,12 +1389,22 @@ def leaves(value):
 
 
 def test_every_kernel_takes_and_returns_arrays():
+    # float32 in, float32 out: no kernel re-casts, so no floating-point
+    # leaf of any result may be of another dtype.
     calls = kernel_calls()
     assert set(calls) == {name for name in kernels.__all__
                           if not isinstance(getattr(kernels, name), type)}
+    z = np.linspace(-3, 3, 12, dtype=np.float32).reshape(4, 3)
+    calls["_sigmoid"] = lambda: kernels._sigmoid(z)
+    for metric, out, labels in (("accuracy", z, [0, 2, 1, 0]),
+                                ("mse", z[:, :1], [0.5, -1.0, 0.0, 2.0]),
+                                ("logloss", z[:, 1:2], [0.0, 1.0, 1.0, 0.0])):
+        calls[f"_loss_and_grad[{metric}]"] = (
+            lambda m=metric, o=out, y=labels: harness._loss_and_grad(m, o, y))
     for name, call in calls.items():
         out = list(leaves(call()))
         assert not any(isinstance(v, Tensor) for v in out), name
-        assert name == "binary_log_loss" or any(
-            isinstance(v, np.ndarray) and v.dtype == np.float32
-            for v in out), name
+        floats = [v for v in out if isinstance(v, (np.ndarray, np.generic))
+                  and np.issubdtype(v.dtype, np.floating)]
+        assert all(v.dtype == np.float32 for v in floats), name
+        assert name == "binary_log_loss" or floats, name

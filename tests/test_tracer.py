@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from bf16emu import kernels, tensor
+from bf16emu import harness, kernels, netgraph, tensor
+from bf16emu.harness import ExperimentConfig, run_experiment
 from bf16emu.kernels import PoolKind
 
 TRACER_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
@@ -56,3 +57,39 @@ def test_detail_tracer_installs_and_uninstalls():
     assert {key[:2] for key in tracer.agg} == {
         ("kernels.pool", "kernels.pool"), ("kernels.im2col", "kernels.im2col"),
         ("kernels.lstm_cell", "kernels.lstm_cell")}
+
+
+# The end-to-end step time runs from Network.zero_grads to
+# Network.refresh_shadows, and evaluation is timed through
+# harness._eval_metric; the rest are the harness's own spans.
+HARNESS_HOOKED = ("_eval_metric", "_loss_and_grad", "_write_rows",
+                  "_dump_model", "gen_dataset")
+STEP_HOOKED = ("zero_grads", "refresh_shadows")
+
+
+def test_detail_tracer_wraps_harness_and_step_hooks(tmp_path):
+    net_cls = netgraph.Network
+    originals = {name: getattr(harness, name) for name in HARNESS_HOOKED}
+    methods = {name: getattr(net_cls, name) for name in STEP_HOOKED}
+    tracer = load_tracer().Tracer(detail=True)
+    tracer.install()
+    try:
+        for name in HARNESS_HOOKED:
+            assert getattr(harness, name) is not originals[name], name
+        for name in STEP_HOOKED:
+            assert getattr(net_cls, name) is not methods[name], name
+        run_experiment(ExperimentConfig(
+            task="logistic-ctr", epochs=2, batch_size=64, max_train=128,
+            out=str(tmp_path / "run")))
+    finally:
+        tracer.uninstall()
+    for name in HARNESS_HOOKED:
+        assert getattr(harness, name) is originals[name], name
+    for name in STEP_HOOKED:
+        assert getattr(net_cls, name) is methods[name], name
+    # Two epochs of two steps; the evaluation before the first step is
+    # set-up, so one timed evaluation per epoch.
+    assert len(tracer.step_s) == 4
+    assert len(tracer.eval_s) == 2
+    assert {"harness.loss", "harness.io", "datasets.gen"} <= {
+        key[1] for key in tracer.agg}
