@@ -2,10 +2,10 @@
 
 A run is fully described by an `ExperimentConfig` (flat key=value file,
 CLI overrides win over the file, the file wins over defaults).  Runs are
-deterministic given their config; metrics go to a CSV and the final
-model is dumped in the tensor format with a JSON manifest.  The CSV's
-columns are the fields of `MetricsRow`, in order: `CSV_HEADER` lists
-their names, and rows are written and read back through that class.
+deterministic given their config; metrics go to a CSV whose columns are
+the fields of `MetricsRow`, in order, written and read back through that
+class, and the final model is dumped in the tensor format with a JSON
+manifest.
 """
 
 from __future__ import annotations

@@ -2,14 +2,14 @@
 
 Every kernel takes plain float32 NumPy arrays, returns arrays (a loss
 also returns its value as a float) and accumulates in FP32.  No kernel
-re-casts its inputs or results to float32: NumPy keeps float32 through
-float32 operands and Python scalars, so the caller's dtype is the
-contract (only the dropout mask is cast, from bool).  Which of
-those arrays hold values exact in a 16-bit format, and where they are
-rounded, is decided by the network around the kernels; no kernel
-quantizes, and none knows the policy.  So the LSTM
-cell is gate arithmetic alone: the layer around it runs its GEMMs and
-quantizes the hidden state and the gate gradients between them.
+re-casts its inputs or results to float32: NumPy keeps float32 arrays
+float32 through float32 operands and Python scalars, so the caller's
+dtype is the contract (only the dropout mask is cast, from bool).
+Which of those arrays hold values exact in a 16-bit format, and where
+they are rounded, is decided by the network around the kernels; no
+kernel quantizes, and none knows the policy.  So the LSTM cell is gate
+arithmetic alone: the layer around it runs its GEMMs and quantizes the
+hidden state and the gate gradients between them.
 
 Reduction order is fixed so results are bit-reproducible.  The GEMM
 never calls BLAS, whose blocked sums take another order.  It adds one k

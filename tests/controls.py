@@ -7,10 +7,16 @@ masters were kept in bf16: the arm with no FP32 master (Micikevicius et
 al., *Mixed Precision Training*, arXiv 1710.03740, section 3.1).  Tests
 install it by wrapping `ExperimentConfig.make_optimizer`; the library has
 no option for it.
+
+`configs_differ_only_in` checks that the configs of a parity comparison
+differ in the precision alone.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
+from bf16emu.harness import ExperimentConfig
 from bf16emu.numerics import Precision, RoundingMode, quantize_array
 
 
@@ -27,3 +33,18 @@ class Bf16Masters:
             for _, w, _ in ps.arrays():
                 w[...] = quantize_array(w, Precision.BF16,
                                         RoundingMode.NEAREST_EVEN)
+
+
+def configs_differ_only_in(configs, allowed: set[str]) -> bool:
+    """True when all configs agree on every field outside ``allowed``.
+
+    ``out`` is always allowed to differ (arms write to disjoint folders)."""
+    allowed = set(allowed) | {"out"}
+    ref = configs[0]
+    for cfg in configs[1:]:
+        for f in fields(ExperimentConfig):
+            if f.name in allowed:
+                continue
+            if getattr(cfg, f.name) != getattr(ref, f.name):
+                return False
+    return True

@@ -39,8 +39,7 @@ from bf16emu.numerics import (
 )
 from bf16emu.tensor import QuantPolicy, RngStream, load_tensor
 
-from arms import configs_differ_only_in
-from controls import Bf16Masters
+from controls import Bf16Masters, configs_differ_only_in
 
 from oracles import BF16_FTZ, FP16, round_exact, round_vectorized
 from test_kernels import (assert_grads_close, conv_bwd, conv_fwd, fd_grad,

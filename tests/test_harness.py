@@ -24,7 +24,7 @@ from bf16emu.harness import (
 from bf16emu.numerics import Precision
 from bf16emu.tensor import load_tensor
 
-from arms import configs_differ_only_in
+from controls import configs_differ_only_in
 
 
 class TestConfigFile:
